@@ -26,7 +26,7 @@ from .orbit_types import (
     n_amalgam,
     x0_of,
 )
-from .spectrum import BesselZeroTable, CriticalPoint, EigenvalueCurve
+from .spectrum import BesselZeroTable, CriticalPoint, EigenvalueCurve, index_sets
 
 
 class BifurcationProblem:
@@ -71,26 +71,13 @@ class BifurcationProblem:
         """Index triples contributing to the degree product at alpha."""
         mode = self.mode if mode is None else mode
         k_fixed = self.k_fixed if k_fixed is None else k_fixed
-        out = []
-        for j, curve in sorted(self.curves.items()):
-            if self.multiplicities.get(j, 1) % 2 == 0:
-                continue
-            mu = curve.value(alpha)
-            lo, _ = curve.codomain()
-            for m in range(self.table.m_max + 1):
-                if self.table.entries[m][0] >= mu:
-                    break
-                if k_fixed and m % 2 == 0:
-                    continue
-                for n in range(1, self.table.n_max + 1):
-                    s = self.table.entries[m][n - 1]
-                    if s >= mu:
-                        break
-                    if mode == "relative" and s <= lo:
-                        continue  # permanently negative background block
-                    out.append((n, m, j))
-        out.sort()
-        return tuple(out)
+        _, sig, sig_k = index_sets(self.curves.values(), self.table, alpha,
+                                   self.multiplicities)
+        triples = (sig_k if k_fixed else sig).triples
+        if mode == "relative":  # drop the permanently negative background blocks
+            triples = tuple((n, m, j) for n, m, j in triples
+                            if self.table.entries[m][n - 1] > self.curves[j].codomain()[0])
+        return triples
 
     def reduced_factors(self, triples) -> list[tuple[int, int]]:
         """(m, j) pairs with odd triple count (involution collapses the rest)."""

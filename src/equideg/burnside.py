@@ -1,34 +1,30 @@
 """Burnside ring arithmetic over the orbit types of O(2) x Gamma'.
 
-Elements are sparse integer combinations of orbit types; generator products
-are evaluated through the recurrence over the subconjugation order, with all
-containment counts delegated to the orbit-type layer.  Generator products are
-memoized per canonical pair.
+Elements are sparse integer combinations of orbit types.  Every element the
+package builds (a generator product here, a basic degree in degrees, a
+product in the Burnside ring of the finite factor) comes from solve_marks,
+the triangular solve against the table of marks phi_L(U) = n(L, U) |W(U)|
+over the subconjugation order; containment counts and intersections are
+delegated to the orbit-type layer.  Generator products are memoized per
+canonical pair.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import NonIntegralCoefficient
-from .groups import n_count, weyl_order
+from .groups import n_count
 from .orbit_types import (
-    REF,
-    ROT,
     AmbientContext,
     OrbitType,
     SubgroupG,
-    _inv_conj_table,
     ambient_weyl_order,
     coeff_scale,
-    grid_arrays,
-    grid_codes,
-    grid_level,
+    intersections,
     leq,
     n_amalgam,
 )
-from .orbit_types import _mapped_o2
 
 
 class BurnsideElement:
@@ -113,20 +109,23 @@ class BurnsideElement:
                 for t, c in sorted(self.terms.items(), key=key)]
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for sym, c in self.sorted_terms():
-            if c == 1:
-                bits.append(f"+ {sym}")
-            elif c == -1:
-                bits.append(f"- {sym}")
-            elif c > 0:
-                bits.append(f"+ {c}{sym}")
-            else:
-                bits.append(f"- {-c}{sym}")
-        text = " ".join(bits)
-        return text[2:] if text.startswith("+ ") else text
+        return format_terms(self.sorted_terms())
+
+
+def format_terms(terms) -> str:
+    """Text "a - 2b + c" of (symbol, nonzero coefficient) pairs; "0" when empty."""
+    bits = []
+    for sym, c in terms:
+        if c == 1:
+            bits.append(f"+ {sym}")
+        elif c == -1:
+            bits.append(f"- {sym}")
+        elif c > 0:
+            bits.append(f"+ {c}{sym}")
+        else:
+            bits.append(f"- {-c}{sym}")
+    text = " ".join(bits) if bits else "0"
+    return text[2:] if text.startswith("+ ") else text
 
 
 def unit(ctx: AmbientContext) -> BurnsideElement:
@@ -149,8 +148,7 @@ def generator_product(ctx: AmbientContext, a: OrbitType, b: OrbitType) -> dict[O
     if b is ctx.unit:
         return {a: 1}
     key = (a.key, b.key) if a.key <= b.key else (b.key, a.key)
-    cache = _product_cache(ctx)
-    got = cache.get(key)
+    got = ctx._generator_products.get(key)
     if got is None:
         if a.kind == "o2" and b.kind == "o2":
             got = _product_o2_o2(ctx, a, b)
@@ -161,78 +159,62 @@ def generator_product(ctx: AmbientContext, a: OrbitType, b: OrbitType) -> dict[O
         else:
             got = _product_finite(ctx, a, b)
         with ctx._lock:
-            cache[key] = got
+            ctx._generator_products[key] = got
     return got
 
 
-def _product_cache(ctx: AmbientContext) -> dict:
-    cache = getattr(ctx, "_generator_products", None)
-    if cache is None:
-        with ctx._lock:
-            cache = getattr(ctx, "_generator_products", None)
-            if cache is None:
-                cache = {}
-                ctx._generator_products = cache
-    return cache
+# -- the table-of-marks solve ----------------------------------------------------------
 
+def solve_marks(cands: Iterable, lead: Callable, mark: Callable, weyl: Callable,
+                what: str) -> dict:
+    """Coefficients c_U of the element whose marks are lead(L).
+
+    cands are the classes that can occur, in processing order (larger first);
+    mark(L, U) is the mark phi_L(U) of a class U already solved and weyl(L)
+    is phi_L(L) = |W(L)|.  Each coefficient solves
+    lead(L) = sum_U c_U phi_L(U) + c_L |W(L)| and must be an integer.
+    """
+    coeffs: dict = {}
+    for L in cands:
+        num = lead(L) - sum(c * mark(L, U) for U, c in coeffs.items())
+        w = weyl(L)
+        if num % w:
+            raise NonIntegralCoefficient(f"{what}: coefficient of {L} = {num}/{w}")
+        if num:
+            coeffs[L] = num // w
+    return coeffs
+
+
+def _ambient_mark(ctx: AmbientContext, L: OrbitType, U: OrbitType) -> int:
+    """phi_L(U) = n(L, U) |W(U)| in the ambient group."""
+    return n_amalgam(ctx, L, U) * ambient_weyl_order(ctx, U)
+
+
+def solve_ambient_marks(ctx: AmbientContext, cands: Iterable[OrbitType], lead: Callable,
+                        what: str) -> dict[OrbitType, int]:
+    """solve_marks over orbit types of O(2) x Gamma'; a correction term is
+    only evaluated for classes above L, where n(L, U) is defined."""
+    return solve_marks(cands, lead,
+                       lambda L, U: _ambient_mark(ctx, L, U) if leq(ctx, L, U) else 0,
+                       lambda L: ambient_weyl_order(ctx, L), what)
+
+
+# -- generator products ----------------------------------------------------------------
 
 def _resolve_recurrence(ctx: AmbientContext, a: OrbitType, b: OrbitType,
                         candidates: Iterable[OrbitType]) -> dict[OrbitType, int]:
     cands = sorted({t.key: t for t in candidates}.values(),
                    key=lambda t: t.sort_rank(), reverse=True)
-    coeffs: dict[OrbitType, int] = {}
-    for L in cands:
-        lead = (n_amalgam(ctx, L, a) * ambient_weyl_order(ctx, a)
-                * n_amalgam(ctx, L, b) * ambient_weyl_order(ctx, b))
-        corr = 0
-        for Lt, val in coeffs.items():
-            if val and leq(ctx, L, Lt):
-                corr += val * n_amalgam(ctx, L, Lt) * ambient_weyl_order(ctx, Lt)
-        num = lead - corr
-        wl = ambient_weyl_order(ctx, L)
-        if num % wl:
-            raise NonIntegralCoefficient(
-                f"({a.symbol})({b.symbol}): coefficient of {L.symbol} = {num}/{wl}")
-        if num:
-            coeffs[L] = num // wl
-    return {t: c for t, c in coeffs.items() if c}
+    return solve_ambient_marks(
+        ctx, cands, lambda L: _ambient_mark(ctx, L, a) * _ambient_mark(ctx, L, b),
+        f"({a.symbol})({b.symbol})")
 
 
 def _product_finite(ctx: AmbientContext, a: OrbitType, b: OrbitType) -> dict[OrbitType, int]:
-    import numpy as np
-
-    A, B = a.rep, b.rep
-    gamma = ctx.gamma
-    M = math.lcm(grid_level(A), grid_level(B))
-    kinds, ticks, gammas, elems_sorted = grid_arrays(A, M)
-    bcodes = grid_codes(B, M)
-    b_axes = {int(x * M) % M for x in B.axes}
-    refl_mask = kinds == REF
-    refl_idx = np.nonzero(refl_mask)[0]
-    inv_conj = _inv_conj_table(gamma)[:, gammas]
-    gorder = gamma.order
     cands: dict[int, OrbitType] = {}
-    seen = set()
-    for kind in (ROT, REF):
-        for two_c in range(M):
-            o2 = _mapped_o2(kinds, ticks, kind, two_c, M)
-            # a contributing (finite-Weyl) intersection must contain a
-            # reflection of A whose image lands on an axis of B
-            if not any(int(o2[i]) in b_axes for i in refl_idx):
-                continue
-            codes = ((kinds * M + o2) * gorder)[None, :] + inv_conj
-            present = np.isin(codes, bcodes)
-            rows = np.nonzero(present.sum(axis=1) > 1)[0]
-            for g in rows:
-                mask = present[g]
-                if not (mask & refl_mask).any():
-                    continue
-                fro = frozenset(elems_sorted[i] for i in np.nonzero(mask)[0])
-                if fro in seen:
-                    continue
-                seen.add(fro)
-                t = ctx.intern(SubgroupG(gamma, fro))
-                cands[t.key] = t
+    for elems in intersections(a.rep, b.rep):
+        t = ctx.intern(SubgroupG(ctx.gamma, elems))
+        cands[t.key] = t
     return _resolve_recurrence(ctx, a, b, cands.values())
 
 
@@ -263,36 +245,11 @@ def gamma_burnside_product(gamma, c1: int, c2: int) -> dict[int, int]:
     """(H)(K) in A(Gamma') for subgroup classes c1, c2; keys are class indices."""
     classes = gamma.subgroup_classes()
     m1 = classes[c1].representative.mask
-    cand_idx = set()
-    for m2 in classes[c2].members:
-        inter = m1 & m2
-        cand_idx.add(gamma.subgroup_class_of(inter))
-    order = sorted(cand_idx, key=lambda ci: classes[ci].order, reverse=True)
-    coeffs: dict[int, int] = {}
-    for ci in order:
-        h = classes[ci].representative
-        lead = (n_count(gamma, h, classes[c1]) * _gamma_weyl(gamma, c1)
-                * n_count(gamma, h, classes[c2]) * _gamma_weyl(gamma, c2))
-        corr = 0
-        for cj, val in coeffs.items():
-            if val:
-                corr += val * n_count(gamma, h, classes[cj]) * _gamma_weyl(gamma, cj)
-        num = lead - corr
-        wl = _gamma_weyl(gamma, ci)
-        if num % wl:
-            raise NonIntegralCoefficient(f"Gamma'-ring product: {num}/{wl}")
-        if num:
-            coeffs[ci] = num // wl
-    return coeffs
+    cands = sorted({gamma.subgroup_class_of(m1 & m2) for m2 in classes[c2].members},
+                   key=lambda ci: classes[ci].order, reverse=True)
 
+    def mark(ci: int, cj: int) -> int:
+        return n_count(gamma, classes[ci].representative, classes[cj]) * gamma.class_weyl_order(cj)
 
-def _gamma_weyl(gamma, ci: int) -> int:
-    cache = getattr(gamma, "_weyl_by_class", None)
-    if cache is None:
-        cache = {}
-        gamma._weyl_by_class = cache
-    got = cache.get(ci)
-    if got is None:
-        got = weyl_order(gamma, gamma.subgroup_classes()[ci].representative)
-        cache[ci] = got
-    return got
+    return solve_marks(cands, lambda ci: mark(ci, c1) * mark(ci, c2), mark,
+                       gamma.class_weyl_order, "Gamma'-ring product")

@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import bifurcation as bif
+from .burnside import format_terms
 from .degrees import basic_degree
 from .errors import ComputationError, ConfigError
 from .model_io import (
@@ -87,21 +88,6 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _terms_text(terms) -> str:
-    bits = []
-    for sym, c in terms:
-        if c == 1:
-            bits.append(f"+ {sym}")
-        elif c == -1:
-            bits.append(f"- {sym}")
-        elif c >= 0:
-            bits.append(f"+ {c}{sym}")
-        else:
-            bits.append(f"- {-c}{sym}")
-    out = " ".join(bits) if bits else "0"
-    return out[2:] if out.startswith("+ ") else out
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     for name, default in (("config", None), ("format", "text"), ("out", None)):
@@ -163,7 +149,7 @@ def _dispatch(args) -> int:
             _emit(args, json.dumps({"m": args.m, "j": args.j,
                                     "terms": [[s, c] for s, c in terms]}, indent=2) + "\n")
         else:
-            _emit(args, _terms_text(terms) + "\n")
+            _emit(args, format_terms(terms) + "\n")
         return 0
 
     if cmd == "invariant":
@@ -176,7 +162,7 @@ def _dispatch(args) -> int:
                                     "k_fixed": inv.k_fixed,
                                     "terms": [[s, c] for s, c in terms]}, indent=2) + "\n")
         else:
-            _emit(args, _terms_text(terms) + "\n")
+            _emit(args, format_terms(terms) + "\n")
         return 0
 
     if cmd == "global":
@@ -206,10 +192,10 @@ def _dispatch(args) -> int:
             for inv in rep["invariants"]:
                 if inv["mode"] != rep["model"]["mode"]:
                     continue
-                lines.append(f"omega{tuple(inv['id'])} = {_terms_text(inv['terms'])}")
+                lines.append(f"omega{tuple(inv['id'])} = {format_terms(inv['terms'])}")
             for v in rep["verdicts"]:
                 lines.append(f"{v['orbit_type']}: {v['conclusion']} -> {v['folded']}")
-            lines.append("rabinowitz sum = " + _terms_text(rep["rabinowitz_sum"]["terms"]))
+            lines.append("rabinowitz sum = " + format_terms(rep["rabinowitz_sum"]["terms"]))
             bad = [e for e in rep["fast_path_checks"] if e["status"] != "ok"]
             lines.append(f"fast-path checks: {len(rep['fast_path_checks'])} run, "
                          f"{len(bad)} flagged")

@@ -1,9 +1,10 @@
 """Basic degrees of the irreducible representations and their products.
 
-The degree of -id on the unit ball of W_m (x) V_j^- is computed by the
-recurrence over the orbit-type poset at frequency 1 (or 0) and transported to
-higher frequencies by the folding homomorphism; the direct computation at
-frequency m is kept as a debug cross-check.
+The degree of -id on the unit ball of W_m (x) V_j^- is computed by
+burnside.solve_marks over the orbit-type poset at frequency 1 (or 0), with
+marks +-1 from the parity of the fixed dimensions, and transported to higher
+frequencies by the folding homomorphism; the direct computation at frequency
+m is kept as a debug cross-check.
 """
 
 from __future__ import annotations
@@ -11,18 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .burnside import BurnsideElement
-from .errors import CrossCheckMismatch, NonIntegralCoefficient
+from .burnside import BurnsideElement, solve_ambient_marks
+from .errors import CrossCheckMismatch
 from .orbit_types import (
     AmbientContext,
     IrrepLabel,
     OrbitType,
-    ambient_weyl_order,
     fixed_dim_irrep,
     fold,
-    leq,
     maximal_types,
-    n_amalgam,
     orbit_types,
     orbit_types_direct,
     x0_of,
@@ -37,8 +35,7 @@ class BasicDegree:
 
 def basic_degree(ctx: AmbientContext, m: int, j: int) -> BasicDegree:
     """deg of -id on B(W_m (x) V_j^-); frequency m >= 1 is folded from m = 1."""
-    cache = _degree_cache(ctx)
-    got = cache.get((m, j))
+    got = ctx._basic_degrees.get((m, j))
     if got is None:
         if m <= 1:
             value = _degree_recurrence(ctx, m, j, orbit_types(ctx, m, j))
@@ -47,7 +44,7 @@ def basic_degree(ctx: AmbientContext, m: int, j: int) -> BasicDegree:
             value = fold_element(ctx, base, m)
         got = BasicDegree(IrrepLabel.of(ctx, m, j), value)
         with ctx._lock:
-            cache[(m, j)] = got
+            ctx._basic_degrees[(m, j)] = got
     return got
 
 
@@ -57,35 +54,13 @@ def basic_degree_direct(ctx: AmbientContext, m: int, j: int) -> BasicDegree:
     return BasicDegree(IrrepLabel.of(ctx, m, j), value)
 
 
-def _degree_cache(ctx: AmbientContext) -> dict:
-    cache = getattr(ctx, "_basic_degrees", None)
-    if cache is None:
-        with ctx._lock:
-            cache = getattr(ctx, "_basic_degrees", None)
-            if cache is None:
-                cache = {}
-                ctx._basic_degrees = cache
-    return cache
-
-
 def _degree_recurrence(ctx: AmbientContext, m: int, j: int,
                        types: Sequence[OrbitType]) -> BurnsideElement:
     pool = list(types) + [ctx.unit]
     pool.sort(key=lambda t: t.sort_rank(), reverse=True)
-    coeffs: dict[OrbitType, int] = {}
-    for t in pool:
-        lead = -1 if fixed_dim_irrep(ctx, t, m, j) % 2 else 1
-        corr = 0
-        for u, val in coeffs.items():
-            if val and leq(ctx, t, u):
-                corr += val * n_amalgam(ctx, t, u) * ambient_weyl_order(ctx, u)
-        num = lead - corr
-        w = ambient_weyl_order(ctx, t)
-        if num % w:
-            raise NonIntegralCoefficient(
-                f"deg(W_{m} x V_{j}): coefficient of {t.symbol} = {num}/{w}")
-        if num:
-            coeffs[t] = num // w
+    coeffs = solve_ambient_marks(
+        ctx, pool, lambda t: -1 if fixed_dim_irrep(ctx, t, m, j) % 2 else 1,
+        f"deg(W_{m} x V_{j})")
     return BurnsideElement(ctx, coeffs)
 
 

@@ -174,6 +174,10 @@ class FiniteGroup:
         self._subgroup_classes: Optional[list["SubgroupClass"]] = None
         self._mask_class: Optional[dict[int, int]] = None
         self._element_classes: Optional[list[list[int]]] = None
+        self._class_weyl: dict[int, int] = {}
+        # numpy copy of conj_map[inv[g]], built by the first conjugation scan
+        # (orbit_types) so that importing this module does not need numpy
+        self.inv_conj_np = None
 
     # -- element level -------------------------------------------------------
 
@@ -320,6 +324,14 @@ class FiniteGroup:
             if self.conjugate_mask(mask, g) == mask:
                 out |= 1 << g
         return out
+
+    def class_weyl_order(self, ci: int) -> int:
+        """|W(H)| of the representative of subgroup class ci, memoized."""
+        got = self._class_weyl.get(ci)
+        if got is None:
+            got = weyl_order(self, self.subgroup_classes()[ci].representative)
+            self._class_weyl[ci] = got
+        return got
 
     def is_subgroup_mask(self, mask: int) -> bool:
         return self.closure_mask(mask) == mask

@@ -6,7 +6,10 @@ A finite subgroup H <= O(2) x Gamma' is stored as an explicit element set
 (REF, a, g) is the reflection kappa_a : z -> exp(2*pi*i*a) * conj(z) paired
 with g.  All conjugacy questions about O(2) x Gamma' reduce to scans over a
 finite grid of axis offsets, which is the truncation D_N x Gamma' of the
-ambient group; counting queries are re-checked on the doubled grid.
+ambient group.  conjugate_scan is the one primitive that walks that grid;
+containment, conjugacy, normalizer counts and intersections are row tests on
+its output.  Counting queries read one doubled scan whose even ticks are the
+base grid, and a count that differs between the two is an error.
 
 Subgroups with a full O(2) factor (the only infinite ones we need) are kept
 symbolically and delegate everything to Gamma'.
@@ -28,7 +31,7 @@ from .errors import (
     NonIntegralTrace,
     StabilizationFailure,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, Subgroup, n_count
 
 ROT, REF = 0, 1
 
@@ -163,18 +166,7 @@ def conjugate_in_g(h1: SubgroupG, h2: SubgroupG) -> bool:
         return False
     if len(h1.axes) != len(h2.axes):
         return False
-    gamma = h1.gamma
-    M = math.lcm(grid_level(h1), grid_level(h2))
-    kinds, ticks, gammas, _ = grid_arrays(h1, M)
-    target = grid_codes(h2, M)
-    conj = _conj_table(gamma)[:, gammas]  # forward conjugation, rows indexed by g
-    for kind in (ROT, REF):
-        for two_c in range(M):
-            o2 = _mapped_o2_fwd(kinds, ticks, kind, two_c, M)
-            codes = ((kinds * M + o2) * gamma.order)[None, :] + conj
-            if np.isin(codes, target).all(axis=1).any():
-                return True
-    return False
+    return any(rows.size for _, rows in _containing_scan(h1, h2, 1))
 
 
 @dataclass(frozen=True)
@@ -252,6 +244,8 @@ class AmbientContext:
         self._orbit_type_cache: dict[tuple[int, int], tuple] = {}
         self._maximal_cache: dict[int, dict] = {}
         self._fix_cache: dict[tuple[int, int, int], int] = {}
+        self._generator_products: dict[tuple[int, int], dict] = {}  # burnside
+        self._basic_degrees: dict[tuple[int, int], object] = {}  # degrees
         self.unit = self.intern_o2(gamma.subgroup_class_of((1 << gamma.order) - 1))
 
     # -- type registry ---------------------------------------------------------
@@ -366,9 +360,7 @@ def elements_of(ctx: AmbientContext, t: OrbitType, axis_offset: Fraction = Fract
     return out
 
 
-# -- partial order, counts, Weyl groups --------------------------------------------
-
-
+# -- conjugation scans over the angle grid ---------------------------------------------
 
 def grid_level(h: SubgroupG) -> int:
     """Common denominator of every angle in h."""
@@ -402,44 +394,68 @@ def grid_codes(h: SubgroupG, M: int) -> np.ndarray:
     return got
 
 
-def _inv_conj_table(gamma: FiniteGroup) -> np.ndarray:
-    """Row g: conjugation by g^-1 as a map on Gamma'-element indices."""
-    got = getattr(gamma, "_inv_conj_np", None)
-    if got is None:
-        got = np.array([gamma.conj_map[gamma.inv[g]] for g in range(gamma.order)],
-                       dtype=np.int64)
-        gamma._inv_conj_np = got
-    return got
+def conjugate_scan(h: SubgroupG, M: int):
+    """Every conjugate of h over the angle grid 1/M, one O(2) conjugator at a time.
 
-
-def _mapped_o2(kinds: np.ndarray, ticks: np.ndarray, conj_kind: int, two_c: int, M: int):
-    """O(2)-parts of elements after conjugation by the inverse of (conj_kind, c),
-    with angles as ticks over 1/M and two_c = 2*c*M."""
+    For x = (kind, c) with two_c = 2cM in [0, M), ROT before REF and two_c
+    ascending, yields (two_c, ticks, codes): ticks are the O(2) angles of
+    x^-1 h x over 1/M in grid_arrays order, and row g of codes holds the
+    packed codes of (x, g)^-1 h (x, g).  Conjugation by c and by c + 1/2 act
+    identically, so every conjugator of the grid group is met once up to the
+    order-2 kernel of the conjugation action.  Forward conjugation by
+    (kind, c, g) is the step (ROT, -two_c) or (REF, two_c) at row g^-1.
+    """
+    gamma = h.gamma
+    if gamma.inv_conj_np is None:
+        gamma.inv_conj_np = np.array([gamma.conj_map[i] for i in gamma.inv], dtype=np.int64)
+    kinds, ticks, gammas, _ = grid_arrays(h, M)
+    conj = gamma.inv_conj_np[:, gammas]
     rot = kinds == ROT
-    if conj_kind == ROT:
-        new = np.where(rot, ticks, (ticks - two_c) % M)
-    else:
-        new = np.where(rot, (-ticks) % M, (two_c - ticks) % M)
-    return new
+    kind_base = kinds * M
+    for kind in (ROT, REF):
+        for two_c in range(M):
+            if kind == ROT:
+                o2 = np.where(rot, ticks, (ticks - two_c) % M)
+            else:
+                o2 = np.where(rot, (-ticks) % M, (two_c - ticks) % M)
+            yield two_c, o2, ((kind_base + o2) * gamma.order)[None, :] + conj
 
 
-def _mapped_o2_fwd(kinds: np.ndarray, ticks: np.ndarray, conj_kind: int, two_c: int, M: int):
-    """Same as _mapped_o2 but conjugating forward by (conj_kind, c)."""
-    rot = kinds == ROT
-    if conj_kind == ROT:
-        new = np.where(rot, ticks, (ticks + two_c) % M)
-    else:
-        new = np.where(rot, (-ticks) % M, (two_c - ticks) % M)
-    return new
+def _containing_scan(h: SubgroupG, k: SubgroupG, grid_mult: int):
+    """(two_c, rows) per step of the scan of k over lcm(levels) * grid_mult:
+    the packed codes of the conjugates of k that contain h."""
+    M = math.lcm(grid_level(h), grid_level(k)) * grid_mult
+    inner = grid_codes(h, M)
+    for two_c, _, codes in conjugate_scan(k, M):
+        yield two_c, codes[np.isin(codes, inner).sum(axis=1) == inner.size]
 
 
-def _conj_table(gamma: FiniteGroup) -> np.ndarray:
-    got = getattr(gamma, "_conj_np", None)
-    if got is None:
-        got = np.array(gamma.conj_map, dtype=np.int64)
-        gamma._conj_np = got
-    return got
+def intersections(a: SubgroupG, b: SubgroupG):
+    """Distinct intersections of a with the grid conjugates of b, as element
+    sets of a, in scan order.  Only intersections holding a reflection can have
+    a finite Weyl group, so the others are skipped, as is every conjugator that
+    maps no reflection axis of a onto one of b."""
+    M = math.lcm(grid_level(a), grid_level(b))
+    kinds, _, _, elems = grid_arrays(a, M)
+    bcodes = grid_codes(b, M)
+    b_axes = {int(x * M) % M for x in b.axes}
+    refl = kinds == REF
+    refl_idx = np.nonzero(refl)[0]
+    seen = set()
+    for _, o2, codes in conjugate_scan(a, M):
+        if not any(int(o2[i]) in b_axes for i in refl_idx):
+            continue
+        present = np.isin(codes, bcodes)
+        for mask in present[present.sum(axis=1) > 1]:
+            if not (mask & refl).any():
+                continue
+            fro = frozenset(elems[i] for i in np.nonzero(mask)[0])
+            if fro not in seen:
+                seen.add(fro)
+                yield fro
 
+
+# -- partial order, counts, Weyl groups --------------------------------------------
 
 def leq(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> bool:
     """(h) <= (k): some conjugate of h's representative lies inside k's."""
@@ -449,60 +465,22 @@ def leq(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> bool:
     if cached is not None:
         return cached
     if k.kind == "o2":
-        if h.kind == "o2":
-            got = _gamma_class_leq(ctx, h.k2_class, k.k2_class)
-        else:
-            got = _gamma_mask_leq_class(ctx, h.rep.proj2_mask, k.k2_class)
+        got = _gamma_mask_leq_class(ctx, _gamma_mask(ctx, h), k.k2_class)
     elif h.kind == "o2":
         got = False
     else:
-        got = False
-        if h.order <= k.order and k.order % h.order == 0:
-            got = bool(_containment_scan(h.rep, k.rep, 1, count=False))
+        got = (h.order <= k.order and k.order % h.order == 0
+               and any(rows.size for _, rows in _containing_scan(h.rep, k.rep, 1)))
     with ctx._lock:
         ctx._leq_cache[(h.key, k.key)] = got
     return got
 
 
-def _containment_scan(h: SubgroupG, k: SubgroupG, grid_mult: int, count: bool):
-    """Conjugates of k containing h: their number (count=True) or existence."""
-    gamma = k.gamma
-    M = math.lcm(grid_level(h), grid_level(k)) * grid_mult
-    kinds, ticks, gammas, _ = grid_arrays(h, M)
-    kcodes = grid_codes(k, M)
-    inv_conj = _inv_conj_table(gamma)[:, gammas]
-    if count:
-        kkinds, kticks, kgammas, _ = grid_arrays(k, M)
-        fwd_conj = _conj_table(gamma)
-    found = set()
-    for kind in (ROT, REF):
-        for two_c in range(M):
-            o2 = _mapped_o2(kinds, ticks, kind, two_c, M)
-            codes = ((kinds * M + o2) * gamma.order)[None, :] + inv_conj
-            ok = np.isin(codes, kcodes).all(axis=1)
-            if not count:
-                if ok.any():
-                    return True
-                continue
-            hits = np.nonzero(ok)[0]
-            if hits.size:
-                ko2 = _mapped_o2_fwd(kkinds, kticks, kind, two_c, M)
-                base = (kkinds * M + ko2) * gamma.order
-                for g in hits:
-                    conj_codes = np.sort(base + fwd_conj[g][kgammas])
-                    found.add(conj_codes.tobytes())
-    if not count:
-        return False
-    return len(found)
-
-
-def _gamma_class_leq(ctx: AmbientContext, c1: int, c2: int) -> bool:
-    g = ctx.gamma
-    m1 = g.subgroup_classes()[c1].representative.mask
-    for m2 in g.subgroup_classes()[c2].members:
-        if (m1 & ~m2) == 0:
-            return True
-    return False
+def _gamma_mask(ctx: AmbientContext, t: OrbitType) -> int:
+    """Gamma'-projection of t's representative, as a bitmask."""
+    if t.kind == "o2":
+        return ctx.gamma.subgroup_classes()[t.k2_class].representative.mask
+    return t.rep.proj2_mask
 
 
 def _gamma_mask_leq_class(ctx: AmbientContext, mask: int, c2: int) -> bool:
@@ -518,19 +496,14 @@ def n_amalgam(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> int:
     if cached is not None:
         return cached
     if k.kind == "o2":
-        if h.kind == "o2":
-            rep = ctx.gamma.subgroup_classes()[h.k2_class].representative.mask
-        else:
-            rep = h.rep.proj2_mask
-        got = sum(1 for m in ctx.gamma.subgroup_classes()[k.k2_class].members
-                  if (rep & ~m) == 0)
+        got = n_count(ctx.gamma, Subgroup(ctx.gamma, _gamma_mask(ctx, h)),
+                      ctx.gamma.subgroup_classes()[k.k2_class])
     elif h.kind == "o2":
         got = 0
     else:
         if not h.rep.has_reflections:
             raise InfiniteWeyl(f"{h.symbol} has infinite Weyl group; n(H,K) undefined")
-        got = _count_containing(h.rep, k.rep, 1)
-        again = _count_containing(h.rep, k.rep, 2)
+        got, again = _containing_counts(h.rep, k.rep, 2)
         if got != again:
             raise StabilizationFailure(
                 f"n({h.symbol},{k.symbol}) unstable under grid refinement: {got} vs {again}")
@@ -539,10 +512,24 @@ def n_amalgam(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> int:
     return got
 
 
-def _count_containing(h: SubgroupG, k: SubgroupG, grid_mult: int) -> int:
+def _containing_counts(h: SubgroupG, k: SubgroupG, grid_mult: int) -> tuple[int, int]:
+    """Distinct conjugates of k containing h, over the conjugators of the even
+    steps and of all steps of one scan; at grid_mult 2 these are the counts on
+    the base grid and on the doubled grid."""
     if h.order > k.order or k.order % h.order != 0:
-        return 0
-    return _containment_scan(h, k, grid_mult, count=True)
+        return 0, 0
+    even, every = set(), set()
+    for two_c, rows in _containing_scan(h, k, grid_mult):
+        for row in np.sort(rows, axis=1):
+            every.add(row.tobytes())
+            if two_c % 2 == 0:
+                even.add(row.tobytes())
+    return len(even), len(every)
+
+
+def _count_containing(h: SubgroupG, k: SubgroupG, grid_mult: int) -> int:
+    """n(H, K) on the grid lcm(levels) * grid_mult."""
+    return _containing_counts(h, k, grid_mult)[1]
 
 
 def ambient_weyl_order(ctx: AmbientContext, t: OrbitType) -> int:
@@ -551,16 +538,12 @@ def ambient_weyl_order(ctx: AmbientContext, t: OrbitType) -> int:
     if cached is not None:
         return cached
     if t.kind == "o2":
-        g = ctx.gamma
-        rep = g.subgroup_classes()[t.k2_class].representative
-        nm = bin(g.normalizer_mask(rep.mask)).count("1")
-        got = nm // rep.order
+        got = ctx.gamma.class_weyl_order(t.k2_class)
     else:
         h = t.rep
         if not h.has_reflections:
             raise InfiniteWeyl(f"{t.symbol} has infinite Weyl group")
-        got = _normalizer_count(h, 1)
-        again = _normalizer_count(h, 2)
+        got, again = _normalizer_counts(h, 2)
         if got != again:
             raise InfiniteWeyl(f"{t.symbol}: normalizer grows under grid refinement")
         assert got % h.order == 0
@@ -570,25 +553,20 @@ def ambient_weyl_order(ctx: AmbientContext, t: OrbitType) -> int:
     return got
 
 
-def _normalizer_count(h: SubgroupG, grid_mult: int) -> int:
-    """Size of the normalizer intersected with the alignment grid.
+def _normalizer_counts(h: SubgroupG, grid_mult: int) -> tuple[int, int]:
+    """Size of the normalizer intersected with the alignment grid, over the
+    conjugators of the even steps and of all steps of one scan.
 
-    Conjugation by c and by c + 1/2 act identically on O(2), so the grid runs
-    over 2c in [0, 1); each hit therefore accounts for two conjugators, which
-    matches |N(H)| because the kernel of the conjugation action has order 2.
+    Each hit of the scan accounts for two conjugators (see conjugate_scan),
+    which matches |N(H)| because the kernel of the conjugation action has
+    order 2.
     """
-    gamma = h.gamma
-    M = grid_level(h) * grid_mult
-    kinds, ticks, gammas, _ = grid_arrays(h, M)
-    target = grid_codes(h, M)
-    conj = _conj_table(gamma)[:, gammas]
-    count = 0
-    for kind in (ROT, REF):
-        for two_c in range(M):
-            o2 = _mapped_o2_fwd(kinds, ticks, kind, two_c, M)
-            codes = ((kinds * M + o2) * gamma.order)[None, :] + conj
-            count += int(np.isin(codes, target).all(axis=1).sum())
-    return 2 * count
+    even = every = 0
+    for two_c, rows in _containing_scan(h, h, grid_mult):
+        every += len(rows)
+        if two_c % 2 == 0:
+            even += len(rows)
+    return 2 * even, 2 * every
 
 
 def coeff_scale(ctx: AmbientContext, t: OrbitType) -> int:

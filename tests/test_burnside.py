@@ -1,7 +1,18 @@
 import random
 
-from equideg.burnside import BurnsideElement, coeff, multiply, unit
+import pytest
+
+from equideg.burnside import (
+    BurnsideElement,
+    coeff,
+    gamma_burnside_product,
+    multiply,
+    solve_marks,
+    unit,
+)
 from equideg.degrees import basic_degree
+from equideg.errors import NonIntegralCoefficient
+from equideg.groups import cyclic_group, direct_product, symmetric_group
 from equideg.orbit_types import maximal_types, parse_symbol
 
 
@@ -124,3 +135,30 @@ def test_scaled_coefficient_read(ctx):
     assert d32.coeff_ambient(t) == -1
     w = unit(ctx) - d32
     assert w.coeff(t) == 2
+
+
+@pytest.mark.parametrize("name", ["S3xZ2", "S4"])
+def test_gamma_ring_products_match_marks_on_cosets(name):
+    # |(G/H x G/K)^L| = |(G/H)^L| |(G/K)^L| = sum_U c_U |(G/U)^L|, with
+    # |(G/U)^L| = #{g : g^-1 L g <= U} / |U| counted over the whole group
+    gamma = (direct_product(symmetric_group(3), cyclic_group(2)) if name == "S3xZ2"
+             else symmetric_group(4))
+    reps = [cls.representative for cls in gamma.subgroup_classes()]
+
+    def fixed_cosets(L, U):
+        inside = sum(1 for g in range(gamma.order)
+                     if gamma.conjugate_mask(L.mask, gamma.inv[g]) & ~U.mask == 0)
+        assert inside % U.order == 0
+        return inside // U.order
+
+    for c1, h in enumerate(reps):
+        for c2, k in enumerate(reps):
+            prod = gamma_burnside_product(gamma, c1, c2)
+            for L in reps:
+                assert (fixed_cosets(L, h) * fixed_cosets(L, k)
+                        == sum(c * fixed_cosets(L, reps[u]) for u, c in prod.items()))
+
+
+def test_solve_marks_rejects_fractional_coefficient():
+    with pytest.raises(NonIntegralCoefficient):
+        solve_marks(["L"], lambda L: 3, lambda L, U: 0, lambda L: 2, "test")

@@ -4,13 +4,17 @@ Exercises the non-bundled paths: generated subgroup-class names, a different
 finite factor (S3 x Z2), and verdicts at folding level 1.
 """
 
+from pathlib import Path
+
 import pytest
 
 from equideg.bifurcation import folding_profile, global_verdict, local_invariant
 from equideg.burnside import BurnsideElement
 from equideg.degrees import basic_degree
-from equideg.model_io import load_model, run_report
+from equideg.model_io import load_model, report_json, run_report
 from equideg.orbit_types import maximal_types
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 TRIANGLE = {
     "name": "three-membranes",
@@ -77,6 +81,8 @@ def test_triangle_invariants_and_verdicts(tri):
 def test_triangle_report(tri):
     rep = run_report(tri)
     assert {e["status"] for e in rep["fast_path_checks"]} == {"ok"}
+    # the 8 x 8 horizon gives the same report as the benchmark's 24 x 24 one
+    assert report_json(rep) == (REFERENCE / "triangle.json").read_text()
     assert rep["rabinowitz_sum"]["terms"]
     # generated names appear for the unnamed finite factor
     assert any("U" in t["orbit_type"] or "x" in t["orbit_type"]

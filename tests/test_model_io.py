@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from equideg.model_io import (
     report_json,
     run_report,
 )
+
+# reports as the CLI writes them, kept byte-exact by the benchmark's check
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 W1 = np.array([-1.0, 1.0, -1.0, 1.0, 0.0, 0.0])
 W2 = np.array([1.0, 0.0, 1.0, 0.0, -1.0, -1.0])
@@ -111,6 +115,7 @@ def test_report_roundtrip_and_determinism(model):
     text = report_json(rep)
     assert json.loads(text) == rep
     assert report_json(run_report(model)) == text
+    assert text == (REFERENCE / "six_membranes.json").read_text()
     assert {e["status"] for e in rep["fast_path_checks"]} == {"ok"}
     assert rep["warnings"]
 

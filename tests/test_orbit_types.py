@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -187,21 +188,51 @@ def test_orbit_types_are_their_own_stabilizers(ctx):
             assert stab == set(t.rep.elems)
 
 
+def _grid_oracle(h, k, M):
+    """(distinct conjugates of k containing h, normalizer hits of k) over the
+    grid conjugators (kind, two_c / 2M, g), by Fraction arithmetic on the
+    element sets; independent of the packed-code scan."""
+    from equideg.orbit_types import REF
+    conjugates, normal = set(), 0
+    for kind in (ROT, REF):
+        for two_c in range(M):
+            for g in range(k.gamma.order):
+                kc = k.conjugate(kind, Fraction(two_c, 2 * M), g)
+                normal += kc == k
+                if h.elems <= kc.elems:
+                    conjugates.add(kc.elems)
+    return len(conjugates), 2 * normal
+
+
 def test_n_counts_stable_under_grid_refinement(ctx):
-    from equideg.orbit_types import _count_containing
+    from equideg.orbit_types import (
+        _containing_counts,
+        _count_containing,
+        _normalizer_counts,
+        grid_level,
+    )
     pool = all_maximal(ctx)
     pairs = 0
     for h in pool:
         for k in pool:
             if h.key == k.key or not leq(ctx, h, k):
                 continue
-            assert (_count_containing(h.rep, k.rep, 1)
-                    == _count_containing(h.rep, k.rep, 2)
-                    == _count_containing(h.rep, k.rep, 3))
+            base = _count_containing(h.rep, k.rep, 1)
+            assert base == _count_containing(h.rep, k.rep, 2) == _count_containing(h.rep, k.rep, 3)
+            # one doubled scan reads both the base and the doubled count
+            assert _containing_counts(h.rep, k.rep, 2) == (base, base)
             pairs += 1
+        assert _normalizer_counts(h.rep, 2) == (_normalizer_counts(h.rep, 1)[1],
+                                                 _normalizer_counts(h.rep, 2)[1])
+    assert pairs
     d4 = parse_symbol(ctx, "(D2^D1 x^D4 D4p)")
-    assert (_count_containing(d4.rep, fold(ctx, d4, 3).rep, 1)
-            == _count_containing(d4.rep, fold(ctx, d4, 3).rep, 2))
+    d12 = fold(ctx, d4, 3)
+    pair = (_count_containing(d4.rep, d12.rep, 1), _count_containing(d4.rep, d12.rep, 2))
+    assert _containing_counts(d4.rep, d12.rep, 2) == pair
+    assert pair[0] == pair[1] == n_amalgam(ctx, d4, d12) >= 1
+    # the scan agrees with conjugation by Fraction arithmetic
+    M = math.lcm(grid_level(d4.rep), grid_level(d12.rep))
+    assert _grid_oracle(d4.rep, d12.rep, M) == (pair[0], _normalizer_counts(d12.rep, 1)[1])
 
 
 def test_element_arithmetic_closure(ctx):
