@@ -213,7 +213,7 @@ def _resolve_recurrence(ctx: AmbientContext, a: OrbitType, b: OrbitType,
 def _product_finite(ctx: AmbientContext, a: OrbitType, b: OrbitType) -> dict[OrbitType, int]:
     cands: dict[int, OrbitType] = {}
     for elems in intersections(a.rep, b.rep):
-        t = ctx.intern(SubgroupG(ctx.gamma, elems))
+        t = ctx.intern(SubgroupG(ctx.gamma, elems, a.rep.level))
         cands[t.key] = t
     return _resolve_recurrence(ctx, a, b, cands.values())
 
@@ -226,7 +226,7 @@ def _product_mixed(ctx: AmbientContext, fin: OrbitType, o2t: OrbitType) -> dict[
         inter = frozenset(e for e in fin.rep.elems if (mask >> e[2]) & 1)
         if len(inter) <= 1:
             continue
-        L = SubgroupG(gamma, inter)
+        L = SubgroupG(gamma, inter, fin.rep.level)
         if not L.has_reflections:
             continue
         t = ctx.intern(L)

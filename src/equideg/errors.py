@@ -39,6 +39,10 @@ class NonIntegralTrace(ComputationError):
     pass
 
 
+class NonIntegralWeyl(ComputationError):
+    pass
+
+
 # -- orbit types / Burnside ring ---------------------------------------------
 
 class InfiniteSubgroup(ComputationError):

@@ -18,6 +18,7 @@ from .errors import (
     ClosureCapExceeded,
     NonIntegralMultiplicity,
     NonIntegralTrace,
+    NonIntegralWeyl,
     NonPermutationInput,
     NotASubgroup,
 )
@@ -431,7 +432,8 @@ def weyl_order(g: FiniteGroup, h: Subgroup) -> int:
     if h.parent is not g:
         raise NotASubgroup("subgroup belongs to a different group")
     n = bin(g.normalizer_mask(h.mask)).count("1")
-    assert n % h.order == 0
+    if n % h.order:
+        raise NonIntegralWeyl(f"|N(H)| = {n} is not a multiple of |H| = {h.order}")
     return n // h.order
 
 

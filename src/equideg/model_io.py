@@ -97,11 +97,16 @@ def _assemble(cfg: dict) -> Model:
     _require(isinstance(cfg, dict), "config must be a JSON object")
     for key in ("group", "action", "linearization"):
         _require(key in cfg, f"config is missing the '{key}' section")
+    for key in ("group", "action", "linearization", "character_table", "horizon", "analysis"):
+        _require(isinstance(cfg.get(key, {}), dict), f"config section '{key}' must be an object")
     gcfg = cfg["group"]
     _require(isinstance(gcfg.get("degree"), int) and gcfg["degree"] >= 1,
              "group.degree must be a positive integer")
     degree = gcfg["degree"]
-    gens = [Permutation.parse(degree, s) for s in gcfg.get("gamma_generators", [])]
+    gens = gcfg.get("gamma_generators", [])
+    _require(isinstance(gens, list) and all(isinstance(s, str) for s in gens),
+             "group.gamma_generators must be a list of cycle strings")
+    gens = [Permutation.parse(degree, s) for s in gens]
     gamma = group_from_generators(degree, gens)
     _require(gcfg.get("antipodal", True) is True,
              "only antipodal models are supported (group.antipodal must be true)")

@@ -1,15 +1,19 @@
 """Conjugacy classes of closed subgroups of O(2) x Gamma' (Gamma' finite).
 
 A finite subgroup H <= O(2) x Gamma' is stored as an explicit element set
-{(kind, angle, gamma_index)} where angles are exact Fractions of a full turn:
-(ROT, t, g) is the rotation by t turns paired with gamma element g, and
-(REF, a, g) is the reflection kappa_a : z -> exp(2*pi*i*a) * conj(z) paired
-with g.  All conjugacy questions about O(2) x Gamma' reduce to scans over a
-finite grid of axis offsets, which is the truncation D_N x Gamma' of the
-ambient group.  conjugate_scan is the one primitive that walks that grid;
-containment, conjugacy, normalizer counts and intersections are row tests on
-its output.  Counting queries read one doubled scan whose even ticks are the
-base grid, and a count that differs between the two is an error.
+{(kind, tick, gamma_index)} over an integer level L: the angle of an element
+is tick / L turns, with 0 <= tick < L and L the least common denominator of
+H's angles.  (ROT, t, g) is the rotation by t / L turns paired with gamma
+element g, and (REF, t, g) is the reflection kappa_a : z -> exp(2*pi*i*a) *
+conj(z), a = t / L, paired with g.  All conjugacy questions about
+O(2) x Gamma' reduce to scans over a finite grid of axis offsets, which is
+the truncation D_N x Gamma' of the ambient group.  conjugate_scan is the one
+primitive that walks that grid; containment, conjugacy, normalizer counts and
+intersections are row tests on its output.  Counting queries read one doubled
+scan whose even ticks are the base grid, and a count that differs between
+the two is an error.  Exact Fractions appear only at the API boundary (the
+conjugator of SubgroupG.conjugate, the angles elements_of returns) and in
+the float stabilizer test of the enumeration.
 
 Subgroups with a full O(2) factor (the only infinite ones we need) are kept
 symbolically and delegate everything to Gamma'.
@@ -18,6 +22,7 @@ symbolically and delegate everything to Gamma'.
 from __future__ import annotations
 
 import math
+import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +34,7 @@ from .errors import (
     InfiniteSubgroup,
     InfiniteWeyl,
     NonIntegralTrace,
+    NonIntegralWeyl,
     StabilizationFailure,
 )
 from .groups import FiniteGroup, Subgroup, n_count
@@ -63,54 +69,57 @@ def o2_inv(x):
     return x
 
 
-def o2_conj(g, x):
-    """g x g^-1 in O(2)."""
-    kg, c = g
-    kx, a = x
-    if kg == ROT:
-        if kx == ROT:
-            return x
-        return (REF, (a + 2 * c) % 1)
-    if kx == ROT:
-        return (ROT, (-a) % 1)
-    return (REF, (2 * c - a) % 1)
-
-
 class SubgroupG:
-    """Concrete finite subgroup of O(2) x Gamma', as an element set."""
+    """Concrete finite subgroup of O(2) x Gamma', as an element set of integer
+    ticks over its level.
 
-    __slots__ = ("gamma", "elems", "rot_fracs", "axes", "proj2_mask", "kern2_mask",
+    elems holds (kind, tick, g) with 0 <= tick < level; the angle is
+    tick / level turns.  The constructor reduces to the lowest level, so two
+    subgroups are equal exactly when their (level, elems) are.  axes and
+    z1_axes are reflection ticks at the same level.
+    """
+
+    __slots__ = ("gamma", "elems", "level", "axes", "proj2_mask", "kern2_mask",
                  "z1_rot_count", "z1_axes", "rot_order", "_hash", "_grids")
 
-    def __init__(self, gamma: FiniteGroup, elems: Iterable[tuple]):
+    def __init__(self, gamma: FiniteGroup, elems: Iterable[tuple], level: int):
+        elems = frozenset(elems)
+        d = level
+        for _, t, _ in elems:
+            d = math.gcd(d, t)
+            if d == 1:
+                break
+        if d > 1:
+            level //= d
+            elems = frozenset((kind, t // d, g) for kind, t, g in elems)
         self.gamma = gamma
-        self.elems = frozenset(elems)
+        self.elems = elems
+        self.level = level
         rot = set()
         axes = set()
         proj2 = 0
         kern2 = 0
         z1r = 0
         z1a = set()
-        for kind, a, g in self.elems:
+        for kind, t, g in elems:
             proj2 |= 1 << g
             if kind == ROT:
-                rot.add(a)
+                rot.add(t)
                 if g == 0:
                     z1r += 1
-                if a == 0:
+                if t == 0:
                     kern2 |= 1 << g
             else:
-                axes.add(a)
+                axes.add(t)
                 if g == 0:
-                    z1a.add(a)
-        self.rot_fracs = frozenset(rot)
+                    z1a.add(t)
         self.axes = frozenset(axes)
         self.proj2_mask = proj2
         self.kern2_mask = kern2
         self.z1_rot_count = z1r
         self.z1_axes = frozenset(z1a)
         self.rot_order = len(rot)
-        self._hash = hash(self.elems)
+        self._hash = hash(elems)
         self._grids: dict = {}
 
     @property
@@ -122,42 +131,50 @@ class SubgroupG:
         return bool(self.axes)
 
     def conjugate(self, kind: int, c: Fraction, gidx: int) -> "SubgroupG":
+        """(x, g) h (x, g)^-1 for the O(2) element x = (kind, c), c in turns."""
+        c2 = Fraction(2 * c) % 1
+        L = math.lcm(self.level, c2.denominator)
+        u, s = L // self.level, c2.numerator * (L // c2.denominator)
         conj = self.gamma.conj_map[gidx]
-        g = (kind, c)
-        return SubgroupG(self.gamma,
-                         ((*o2_conj(g, (k, a)), conj[x]) for k, a, x in self.elems))
+        if kind == ROT:
+            elems = ((k, t * u if k == ROT else (t * u + s) % L, conj[x])
+                     for k, t, x in self.elems)
+        else:
+            elems = ((k, (-t * u if k == ROT else s - t * u) % L, conj[x])
+                     for k, t, x in self.elems)
+        return SubgroupG(self.gamma, elems, L)
 
     def std_position(self) -> "SubgroupG":
+        """The rotation conjugate whose least reflection axis is 0."""
         if not self.axes:
             return self
         a0 = min(self.axes)
         if a0 == 0:
             return self
-        return self.conjugate(ROT, (-a0 / 2) % 1, 0)
-
-    def contains(self, other: "SubgroupG") -> bool:
-        return other.elems <= self.elems
+        L = self.level
+        return SubgroupG(self.gamma, ((k, t if k == ROT else (t - a0) % L, g)
+                                      for k, t, g in self.elems), L)
 
     def fingerprint(self) -> tuple:
         gamma = self.gamma
-        sig = sorted((kind, min(a, (1 - a) % 1) if kind == ROT else Fraction(0),
+        L = self.level
+        sig = sorted((kind, min(t, (L - t) % L) if kind == ROT else 0,
                       gamma.element_class_index(g))
-                     for kind, a, g in self.elems)
-        return (self.rot_order, len(self.axes), self.order,
+                     for kind, t, g in self.elems)
+        return (L, self.rot_order, len(self.axes), self.order,
                 gamma.subgroup_class_of(self.proj2_mask),
                 gamma.subgroup_class_of(gamma.closure_mask(self.kern2_mask | 1)),
                 self.z1_rot_count, len(self.z1_axes), tuple(sig))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SubgroupG) and self.elems == other.elems
+        return (isinstance(other, SubgroupG) and self.level == other.level
+                and self.elems == other.elems)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
         return f"SubgroupG(order={self.order}, rot={self.rot_order}, axes={len(self.axes)})"
-
-
 
 
 def conjugate_in_g(h1: SubgroupG, h2: SubgroupG) -> bool:
@@ -244,6 +261,7 @@ class AmbientContext:
         self._orbit_type_cache: dict[tuple[int, int], tuple] = {}
         self._maximal_cache: dict[int, dict] = {}
         self._fix_cache: dict[tuple[int, int, int], int] = {}
+        self._fold_cache: dict[tuple[int, int], OrbitType] = {}
         self._generator_products: dict[tuple[int, int], dict] = {}  # burnside
         self._basic_degrees: dict[tuple[int, int], object] = {}  # degrees
         self.unit = self.intern_o2(gamma.subgroup_class_of((1 << gamma.order) - 1))
@@ -354,44 +372,33 @@ def elements_of(ctx: AmbientContext, t: OrbitType, axis_offset: Fraction = Fract
     h = t.rep
     if axis_offset:
         h = h.conjugate(ROT, Fraction(axis_offset) / 2 % 1, 0)
-    out = []
-    for kind, a, g in sorted(h.elems):
-        out.append(((kind, a), ctx.gamma.elements[g]))
-    return out
+    return [((kind, Fraction(t, h.level)), ctx.gamma.elements[g])
+            for kind, t, g in sorted(h.elems)]
 
 
 # -- conjugation scans over the angle grid ---------------------------------------------
 
-def grid_level(h: SubgroupG) -> int:
-    """Common denominator of every angle in h."""
-    den = 1
-    for kind, a, g in h.elems:
-        den = math.lcm(den, a.denominator)
-    return den
-
-
 def grid_arrays(h: SubgroupG, M: int):
-    """(kinds, ticks, gammas, sorted elements) with angles as integers over 1/M."""
+    """(kinds, ticks, gammas, sorted elements) with angles as integers over
+    1/M, for a multiple M of h.level."""
     got = h._grids.get(M)
     if got is None:
         elems = sorted(h.elems)
         kinds = np.array([e[0] for e in elems], dtype=np.int64)
-        ticks = np.array([int(e[1] * M) % M for e in elems], dtype=np.int64)
+        ticks = np.array([e[1] for e in elems], dtype=np.int64) * (M // h.level)
         gammas = np.array([e[2] for e in elems], dtype=np.int64)
         got = (kinds, ticks, gammas, elems)
         h._grids[M] = got
     return got
 
 
-def grid_codes(h: SubgroupG, M: int) -> np.ndarray:
-    """Sorted packed integer codes ((kind*M + tick)*|Gamma'| + gamma) of h."""
-    key = ("codes", M)
-    got = h._grids.get(key)
-    if got is None:
-        kinds, ticks, gammas, _ = grid_arrays(h, M)
-        got = np.sort((kinds * M + ticks) * h.gamma.order + gammas)
-        h._grids[key] = got
-    return got
+def grid_member(h: SubgroupG, M: int) -> np.ndarray:
+    """Boolean lookup over the packed codes ((kind*M + tick)*|Gamma'| + gamma)
+    of the grid 1/M, True on the codes of h."""
+    kinds, ticks, gammas, _ = grid_arrays(h, M)
+    member = np.zeros(2 * M * h.gamma.order, dtype=bool)
+    member[(kinds * M + ticks) * h.gamma.order + gammas] = True
+    return member
 
 
 def conjugate_scan(h: SubgroupG, M: int):
@@ -424,35 +431,32 @@ def conjugate_scan(h: SubgroupG, M: int):
 def _containing_scan(h: SubgroupG, k: SubgroupG, grid_mult: int):
     """(two_c, rows) per step of the scan of k over lcm(levels) * grid_mult:
     the packed codes of the conjugates of k that contain h."""
-    M = math.lcm(grid_level(h), grid_level(k)) * grid_mult
-    inner = grid_codes(h, M)
+    M = math.lcm(h.level, k.level) * grid_mult
+    inner = grid_member(h, M)
     for two_c, _, codes in conjugate_scan(k, M):
-        yield two_c, codes[np.isin(codes, inner).sum(axis=1) == inner.size]
+        yield two_c, codes[inner[codes].sum(axis=1) == h.order]
 
 
 def intersections(a: SubgroupG, b: SubgroupG):
     """Distinct intersections of a with the grid conjugates of b, as element
-    sets of a, in scan order.  Only intersections holding a reflection can have
-    a finite Weyl group, so the others are skipped, as is every conjugator that
-    maps no reflection axis of a onto one of b."""
-    M = math.lcm(grid_level(a), grid_level(b))
+    sets of a (ticks over a.level), in scan order.  Only intersections holding
+    a reflection can have a finite Weyl group, so the others are skipped, as is
+    every conjugator that maps no reflection axis of a onto one of b."""
+    M = math.lcm(a.level, b.level)
     kinds, _, _, elems = grid_arrays(a, M)
-    bcodes = grid_codes(b, M)
-    b_axes = {int(x * M) % M for x in b.axes}
+    in_b = grid_member(b, M)
+    b_axis = in_b.reshape(2, M, -1)[REF].any(axis=1)
     refl = kinds == REF
-    refl_idx = np.nonzero(refl)[0]
     seen = set()
     for _, o2, codes in conjugate_scan(a, M):
-        if not any(int(o2[i]) in b_axes for i in refl_idx):
+        if not b_axis[o2[refl]].any():
             continue
-        present = np.isin(codes, bcodes)
-        for mask in present[present.sum(axis=1) > 1]:
-            if not (mask & refl).any():
-                continue
-            fro = frozenset(elems[i] for i in np.nonzero(mask)[0])
-            if fro not in seen:
-                seen.add(fro)
-                yield fro
+        present = in_b[codes]
+        for mask in present[(present.sum(axis=1) > 1) & present[:, refl].any(axis=1)]:
+            key = mask.tobytes()
+            if key not in seen:
+                seen.add(key)
+                yield frozenset(elems[i] for i in np.nonzero(mask)[0])
 
 
 # -- partial order, counts, Weyl groups --------------------------------------------
@@ -546,7 +550,8 @@ def ambient_weyl_order(ctx: AmbientContext, t: OrbitType) -> int:
         got, again = _normalizer_counts(h, 2)
         if got != again:
             raise InfiniteWeyl(f"{t.symbol}: normalizer grows under grid refinement")
-        assert got % h.order == 0
+        if got % h.order:
+            raise NonIntegralWeyl(f"{t.symbol}: |N(H)| = {got} is not a multiple of |H|")
         got //= h.order
     with ctx._lock:
         ctx._weyl_cache[t.key] = got
@@ -603,20 +608,22 @@ def x0_of(ctx: AmbientContext, t: OrbitType) -> int:
 # -- folding -------------------------------------------------------------------------
 
 def fold_subgroup(h: SubgroupG, s: int) -> SubgroupG:
-    elems = []
-    for kind, a, g in h.elems:
-        for i in range(s):
-            elems.append((kind, (a + i) / s % 1, g))
-    return SubgroupG(h.gamma, elems)
+    """Preimage of h under the s-fold map: angle a goes to (a + i) / s."""
+    L = h.level
+    return SubgroupG(h.gamma, ((kind, t + i * L, g) for kind, t, g in h.elems
+                               for i in range(s)), s * L)
 
 
 def fold(ctx: AmbientContext, t: OrbitType, s: int) -> OrbitType:
     """Preimage class under the s-fold map on the O(2) factor."""
-    if s == 1:
+    if s == 1 or t.kind == "o2":
         return t
-    if t.kind == "o2":
-        return t
-    return ctx.intern(fold_subgroup(t.rep, s))
+    got = ctx._fold_cache.get((t.key, s))
+    if got is None:
+        got = ctx.intern(fold_subgroup(t.rep, s))
+        with ctx._lock:
+            ctx._fold_cache[(t.key, s)] = got
+    return got
 
 
 # -- fixed spaces -----------------------------------------------------------------------
@@ -636,11 +643,12 @@ def fixed_dim_irrep(ctx: AmbientContext, t: OrbitType, m: int, j: int) -> int:
             got = _snap_int(sum(irr.chars[x] for x in members) / len(members))
     else:
         tot = 0.0
-        for kind, a, g in t.rep.elems:
+        L = t.rep.level
+        for kind, tick, g in t.rep.elems:
             if m == 0:
                 tot += irr.chars[g]
             elif kind == ROT:
-                tot += 2.0 * np.cos(TWO_PI * m * float(a)) * irr.chars[g]
+                tot += 2.0 * np.cos(TWO_PI * m * (tick / L)) * irr.chars[g]
         got = _snap_int(tot / t.rep.order)
     with ctx._lock:
         ctx._fix_cache[(t.key, m, j)] = got
@@ -654,12 +662,13 @@ def _snap_int(val: float) -> int:
     return int(snapped)
 
 
-def rep_matrix(ctx: AmbientContext, m: int, j: int, elem: tuple) -> np.ndarray:
-    kind, a, g = elem
+def rep_matrix(ctx: AmbientContext, m: int, j: int, elem: tuple, level: int) -> np.ndarray:
+    """Matrix of the element (kind, tick, g), angle tick / level, on W_m (x) V_j^-."""
+    kind, tick, g = elem
     B = ctx.irrep(j).mats[g]
     if m == 0:
         return B
-    phi = TWO_PI * m * float(a)
+    phi = TWO_PI * m * (tick / level)
     c, s = np.cos(phi), np.sin(phi)
     if kind == ROT:
         R = np.array([[c, -s], [s, c]])
@@ -672,7 +681,7 @@ def fixed_space(ctx: AmbientContext, m: int, j: int, h: SubgroupG) -> np.ndarray
     dim = ctx.irrep(j).dim * (1 if m == 0 else 2)
     P = np.zeros((dim, dim))
     for elem in h.elems:
-        P += rep_matrix(ctx, m, j, elem)
+        P += rep_matrix(ctx, m, j, elem, h.level)
     P /= h.order
     vals, vecs = np.linalg.eigh(P)
     return vecs[:, vals > 0.5]
@@ -823,14 +832,11 @@ def _dihedral_isos(q2: _Quotient, r: int):
             if q2.mul_table[q2.mul_table[S][R]][S] != Rinv:
                 continue
             mapping = {}
-            ok = True
-            used = set()
             for i in range(r):
                 Ri = q2.power(R, i)
                 mapping[(0, i)] = Ri
                 mapping[(1, i)] = q2.mul_table[Ri][S]
-            used = set(mapping.values())
-            if len(used) == q2.size:
+            if len(set(mapping.values())) == q2.size:
                 out.append(mapping)
     return out
 
@@ -895,14 +901,13 @@ def _z2half_isos(q2: _Quotient):
 
 def _build_candidate(ctx: AmbientContext, a1: int, shape: str, b: int,
                      q2: _Quotient, iso: dict) -> SubgroupG:
-    gamma = ctx.gamma
     elems = []
     if shape == "cyclic":
         mod = a1 // b
         for k in range(a1):
             cid = iso[(0, k % mod)] if mod > 1 else 0
             for g in q2.cosets[cid]:
-                elems.append((ROT, Fraction(k, a1), g))
+                elems.append((ROT, k, g))
     else:
         for kind in (ROT, REF):
             for k in range(a1):
@@ -913,8 +918,8 @@ def _build_candidate(ctx: AmbientContext, a1: int, shape: str, b: int,
                 else:  # rotkernel Z_b, quotient D_{a1//b}
                     cid = iso[(kind, k % (a1 // b))]
                 for g in q2.cosets[cid]:
-                    elems.append((kind, Fraction(k, a1), g))
-    return SubgroupG(gamma, elems)
+                    elems.append((kind, k, g))
+    return SubgroupG(ctx.gamma, elems, a1)
 
 
 def orbit_types(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool = False):
@@ -976,15 +981,16 @@ def _orbit_types_enum(ctx: AmbientContext, m: int, j: int, include_non_phi0: boo
     seen = set()
     for h in _candidate_subgroups(ctx, m * ctx.exponent, include_cyclic=include_non_phi0):
         # quick character-based pruning before any matrix work
-        tot = sum(2.0 * np.cos(TWO_PI * m * float(a)) * irr.chars[g]
-                  for kind, a, g in h.elems if kind == ROT)
+        L = h.level
+        tot = sum(2.0 * np.cos(TWO_PI * m * (t / L)) * irr.chars[g]
+                  for kind, t, g in h.elems if kind == ROT)
         fix = tot / h.order
         if fix < 0.5:
             continue
         h = h.std_position()
-        if h.elems in seen:
+        if h in seen:
             continue
-        seen.add(h.elems)
+        seen.add(h)
         survivors.append(h)
     out = []
     tested = set()
@@ -999,7 +1005,8 @@ def _orbit_types_enum(ctx: AmbientContext, m: int, j: int, include_non_phi0: boo
         if W.shape[1] == 0:
             continue
         stab = _pointwise_stabilizer(ctx, m, j, W, max_den)
-        if stab is not None and stab == set(h0.elems):
+        exact = {(kind, Fraction(t, h0.level), g) for kind, t, g in h0.elems}
+        if stab is not None and stab == exact:
             out.append(t)
     out.sort(key=lambda t: (t.order, t.symbol))
     return out
@@ -1026,7 +1033,6 @@ _PRETTY_SUFFIX = {"z": "^z", "d": "^d", "hd": "^d̂", "m": "^-", "p": "^p"}
 
 def pretty_symbol(symbol: str) -> str:
     """Unicode form of an ASCII amalgamated symbol."""
-    import re
 
     def deco(name: str) -> str:
         m = re.fullmatch(r"([A-Z])(\d+)(hd|[zdmp]?)", name)
@@ -1049,8 +1055,6 @@ def pretty_symbol(symbol: str) -> str:
 
 def parse_symbol(ctx: AmbientContext, symbol: str) -> OrbitType:
     """Look up a type from its ASCII symbol, enumerating orbit types on demand."""
-    import re
-
     try:
         return ctx.type_by_symbol(symbol)
     except KeyError:

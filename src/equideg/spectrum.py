@@ -153,11 +153,14 @@ class BesselZeroTable:
     def _check(self):
         for m in range(self.m_max + 1):
             row = self.entries[m]
-            assert all(row[i] < row[i + 1] for i in range(len(row) - 1))
-            assert row[0] > m * (m + 2), f"Watson bound fails at m={m}"
+            if not all(row[i] < row[i + 1] for i in range(len(row) - 1)):
+                raise ConvergenceFailure(f"squared zeros of J_{m} are not increasing")
+            if not row[0] > m * (m + 2):
+                raise ConvergenceFailure(f"Watson bound fails at m={m}")
         flat = sorted(v for row in self.entries for v in row)
         for a, b in zip(flat, flat[1:]):
-            assert b - a > 1e-9, "squared zeros are not distinct"
+            if not b - a > 1e-9:
+                raise ConvergenceFailure("squared zeros are not distinct")
 
     def value(self, n: int, m: int) -> float:
         """s_nm with the table's 1-based n."""

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from equideg.cli import main
+from equideg.model_io import bundled_config
 
 
 def run_cli(capsys, *args):
@@ -89,3 +92,22 @@ def test_report_text(capsys):
     assert code == 0
     assert "rabinowitz sum" in out
     assert "0 flagged" in out
+
+
+@pytest.mark.parametrize("path, value", [
+    (("group",), 3),
+    (("action",), 7),
+    (("group", "gamma_generators"), 5),
+    (("linearization",), 4),
+], ids=["group", "action", "gamma_generators", "linearization"])
+def test_malformed_section_is_exit_2(capsys, tmp_path, path, value):
+    cfg = bundled_config("six_membranes")
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "--config", str(p), "report")
+    assert code == 2
+    assert err.startswith("config error:")

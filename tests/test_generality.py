@@ -4,6 +4,10 @@ Exercises the non-bundled paths: generated subgroup-class names, a different
 finite factor (S3 x Z2), and verdicts at folding level 1.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +91,19 @@ def test_triangle_report(tri):
     # generated names appear for the unnamed finite factor
     assert any("U" in t["orbit_type"] or "x" in t["orbit_type"]
                for t in rep["verdicts"])
+
+
+def test_triangle_report_under_optimize(tmp_path):
+    # python -O strips assert statements; every check the report relies on
+    # must still run and the report must not change
+    cfg = tmp_path / "triangle.json"
+    cfg.write_text(json.dumps(TRIANGLE))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "equideg.cli", "--config", str(cfg),
+         "--format", "json", "report"],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (REFERENCE / "triangle.json").read_text()

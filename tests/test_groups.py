@@ -4,6 +4,7 @@ import pytest
 
 from equideg.errors import (
     NonIntegralMultiplicity,
+    NonIntegralWeyl,
     NonPermutationInput,
     NotASubgroup,
 )
@@ -273,3 +274,13 @@ def test_weyl_of_whole_group_for_ten_groups():
     for g in groups:
         whole = Subgroup(g, (1 << g.order) - 1)
         assert weyl_order(g, whole) == 1
+
+
+def test_weyl_order_rejects_non_multiple_normalizer(monkeypatch):
+    # a normalizer whose size is not a multiple of |H| is an error, also under -O
+    g = symmetric_group(3)
+    h = Subgroup(g, 0b11)  # the identity and a transposition
+    assert h.order == 2
+    monkeypatch.setattr(g, "normalizer_mask", lambda mask: 0b111)
+    with pytest.raises(NonIntegralWeyl):
+        weyl_order(g, h)

@@ -1,15 +1,20 @@
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
 
-from equideg.errors import InfiniteSubgroup, InfiniteWeyl
+from equideg.errors import InfiniteSubgroup, InfiniteWeyl, NonIntegralWeyl
 from equideg.orbit_types import (
+    REF,
     ROT,
+    AmbientContext,
     SubgroupG,
+    ambient_weyl_order,
     elements_of,
     fixed_dim_irrep,
     fold,
+    fold_subgroup,
     leq,
     maximal_types,
     n_amalgam,
@@ -22,6 +27,24 @@ from equideg.orbit_types import (
 )
 
 from s5_fixtures import MAXIMAL_1, MAXIMAL_3
+
+
+def _angles(h):
+    """h's elements as exact (kind, angle in turns, gamma) triples."""
+    return frozenset((kind, Fraction(t, h.level), g) for kind, t, g in h.elems)
+
+
+def _conj_angles(gamma, elems, kind, c, g):
+    """(x, g) elems (x, g)^-1 for x = (kind, c) in O(2), by Fraction arithmetic."""
+    conj = gamma.conj_map[g]
+    out = set()
+    for k, a, x in elems:
+        if kind == ROT:
+            b = a if k == ROT else a + 2 * c
+        else:
+            b = -a if k == ROT else 2 * c - a
+        out.add((k, b % 1, conj[x]))
+    return frozenset(out)
 
 
 def all_maximal(ctx):
@@ -171,7 +194,8 @@ def test_rotation_paired_antipodal_subgroup(ctx, model):
     for i, p in enumerate(ctx.gamma.elements):
         if p.images[:4] == (0, 1, 2, 3) and p.images[4] == 5:
             central = i
-    h = SubgroupG(ctx.gamma, [(ROT, Fraction(0), 0), (ROT, Fraction(1, 2), central)])
+    h = SubgroupG(ctx.gamma, [(ROT, 0, 0), (ROT, 1, central)], 2)
+    assert _angles(h) == {(ROT, Fraction(0), 0), (ROT, Fraction(1, 2), central)}
     t = ctx.intern(h)
     assert t.order == 2
     assert len(elements_of(ctx, t)) == 2
@@ -185,22 +209,22 @@ def test_orbit_types_are_their_own_stabilizers(ctx):
         for t in orbit_types(ctx, 1, j)[:4]:
             W = fixed_space(ctx, 1, j, t.rep)
             stab = _pointwise_stabilizer(ctx, 1, j, W, 4 * ctx.exponent)
-            assert stab == set(t.rep.elems)
+            assert stab == _angles(t.rep)
 
 
 def _grid_oracle(h, k, M):
     """(distinct conjugates of k containing h, normalizer hits of k) over the
     grid conjugators (kind, two_c / 2M, g), by Fraction arithmetic on the
-    element sets; independent of the packed-code scan."""
-    from equideg.orbit_types import REF
+    exact angle sets; independent of the packed-code scan and of the ticks."""
     conjugates, normal = set(), 0
+    inner, outer = _angles(h), _angles(k)
     for kind in (ROT, REF):
         for two_c in range(M):
             for g in range(k.gamma.order):
-                kc = k.conjugate(kind, Fraction(two_c, 2 * M), g)
-                normal += kc == k
-                if h.elems <= kc.elems:
-                    conjugates.add(kc.elems)
+                kc = _conj_angles(k.gamma, outer, kind, Fraction(two_c, 2 * M), g)
+                normal += kc == outer
+                if inner <= kc:
+                    conjugates.add(kc)
     return len(conjugates), 2 * normal
 
 
@@ -209,7 +233,6 @@ def test_n_counts_stable_under_grid_refinement(ctx):
         _containing_counts,
         _count_containing,
         _normalizer_counts,
-        grid_level,
     )
     pool = all_maximal(ctx)
     pairs = 0
@@ -231,7 +254,7 @@ def test_n_counts_stable_under_grid_refinement(ctx):
     assert _containing_counts(d4.rep, d12.rep, 2) == pair
     assert pair[0] == pair[1] == n_amalgam(ctx, d4, d12) >= 1
     # the scan agrees with conjugation by Fraction arithmetic
-    M = math.lcm(grid_level(d4.rep), grid_level(d12.rep))
+    M = math.lcm(d4.rep.level, d12.rep.level)
     assert _grid_oracle(d4.rep, d12.rep, M) == (pair[0], _normalizer_counts(d12.rep, 1)[1])
 
 
@@ -269,3 +292,54 @@ def test_partial_order_antisymmetric_on_pool(ctx):
         for k in pool:
             if h.key != k.key and leq(ctx, h, k):
                 assert not leq(ctx, k, h)
+
+
+def _fraction_signature(gamma, elems):
+    return sorted((kind, min(a, (1 - a) % 1) if kind == ROT else Fraction(0),
+                   gamma.element_class_index(g)) for kind, a, g in elems)
+
+
+def test_tick_arithmetic_matches_fractions(ctx):
+    # conjugate, std_position, fold_subgroup and fingerprint on integer ticks
+    # against Fraction arithmetic on the exact angle sets
+    gamma = ctx.gamma
+    pool = {t.key: t for j in ctx.active_js() for m in (0, 1)
+            for t in orbit_types(ctx, m, j) if t.is_finite}
+    assert pool
+    conjugators = [(ROT, Fraction(1, 5), 0), (REF, Fraction(3, 8), 1),
+                   (ROT, Fraction(7, 12), gamma.order - 1), (REF, Fraction(0), 2)]
+    for t in pool.values():
+        h = t.rep
+        exact = _angles(h)
+        assert len(exact) == h.order
+        assert h.level == math.lcm(*(a.denominator for _, a, _ in exact))
+        # the same angles given over a multiple of the level reduce to h
+        assert SubgroupG(gamma, ((k, 6 * x, g) for k, x, g in h.elems), 6 * h.level) == h
+        for kind, c, g in conjugators:
+            hc = h.conjugate(kind, c, g)
+            want = _conj_angles(gamma, exact, kind, c, g)
+            assert _angles(hc) == want
+            assert hc.level == math.lcm(*(a.denominator for _, a, _ in want))
+            a0 = min(a for k, a, _ in want if k == REF)
+            want_std = _conj_angles(gamma, want, ROT, (-a0 / 2) % 1, 0)
+            std = hc.std_position()
+            assert _angles(std) == want_std
+            # conjugates in standard position share level and fingerprint
+            fp = std.fingerprint()
+            assert fp == h.fingerprint() and fp[0] == std.level == h.level
+            assert [(k, Fraction(v, fp[0]), x) for k, v, x in fp[-1]] == \
+                _fraction_signature(gamma, want_std)
+        for s in (2, 3):
+            folded = fold_subgroup(h, s)
+            assert _angles(folded) == {(k, (a + i) / s % 1, g)
+                                       for k, a, g in exact for i in range(s)}
+            assert ctx.intern(folded).key == fold(ctx, t, s).key
+
+
+def test_ambient_weyl_order_rejects_non_multiple_normalizer(ctx, monkeypatch):
+    ot = importlib.import_module("equideg.orbit_types")
+    fresh = AmbientContext(ctx.gamma, ctx.irreps, ctx.class_names)
+    t = fresh.intern(parse_symbol(ctx, "(D2^D1 x^D4 D4p)").rep)
+    monkeypatch.setattr(ot, "_normalizer_counts", lambda h, mult: (h.order + 2,) * 2)
+    with pytest.raises(NonIntegralWeyl):
+        ambient_weyl_order(fresh, t)

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from equideg.errors import AlphaIsCritical, InsufficientHorizon, NonMonotoneCurve
+from equideg.errors import (
+    AlphaIsCritical,
+    ConvergenceFailure,
+    InsufficientHorizon,
+    NonMonotoneCurve,
+)
 from equideg.spectrum import (
     BesselZeroTable,
     EigenvalueCurve,
@@ -190,3 +195,28 @@ def test_kernel_mode_boundary_and_radial(model_curves, model_table):
     rows = mode.grid(8)
     assert len(rows) == 64
     assert len(rows[0]) == 2 + 6
+
+
+def _swap_row(entries):
+    entries[1][0], entries[1][1] = entries[1][1], entries[1][0]
+
+
+def _below_watson(entries):
+    entries[2][0] = 7.0  # still increasing, but not above m(m+2) = 8
+
+
+def _repeat_zero(entries):
+    entries[1][0] = entries[0][1]  # rows stay increasing, values collide
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_swap_row, "not increasing"),
+    (_below_watson, "Watson bound"),
+    (_repeat_zero, "not distinct"),
+])
+def test_bessel_table_check_raises(corrupt, message):
+    # the table's own checks raise ConvergenceFailure, also under -O
+    table = BesselZeroTable(3, 3)
+    corrupt(table.entries)
+    with pytest.raises(ConvergenceFailure, match=message):
+        table._check()
