@@ -10,6 +10,7 @@ builds the ambient Burnside context, and exposes the full pipeline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -30,7 +31,8 @@ from .errors import (
 from .groups import CharacterTable, FiniteGroup, OrthogonalAction, Permutation, group_from_generators
 from .naming import s4z2_class_names
 from .orbit_types import AmbientContext, fixed_space, fold, maximal_types, parse_symbol
-from .reps import IsotypicComponent, antipodal_product, irreps_with_antipodal, isotypic_components
+from .reps import (IsotypicComponent, antipodal_product, generic_invariant_matrix,
+                   irreps_with_antipodal, isotypic_components)
 from .spectrum import (
     BesselZeroTable,
     CriticalPoint,
@@ -44,6 +46,27 @@ from .spectrum import (
 def _require(cond: bool, msg: str):
     if not cond:
         raise SchemaError(msg)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _number(section: dict, key: str, what: str, default=None) -> float:
+    v = section.get(key, default)
+    _require(_is_number(v), f"{what} must be a number")
+    return float(v)
+
+
+def _rows(v, width: int) -> bool:
+    """Whether v is a list of rows of `width` numbers each."""
+    return isinstance(v, list) and all(
+        isinstance(r, list) and len(r) == width and all(map(_is_number, r)) for r in v)
+
+
+def _matrix(v, what: str, k: int) -> np.ndarray:
+    _require(_rows(v, k) and len(v) == k, f"{what} must be a {k} x {k} matrix of numbers")
+    return np.array(v, dtype=float)
 
 
 @dataclass
@@ -117,14 +140,18 @@ def _assemble(cfg: dict) -> Model:
         images = acfg.get("generator_images")
         _require(isinstance(images, list) and len(images) == len(gens),
                  "action.generator_images must list one permutation per generator")
-        k = len(images[0]) if images else degree
+        k = len(images[0]) if images and isinstance(images[0], list) else degree
+        _require(all(isinstance(im, list) and sorted(im) == list(range(k)) for im in images),
+                 f"action.generator_images must be permutations of 0..{k - 1}")
         action = OrthogonalAction.from_permutation_images(gamma, gens, images, k)
     elif acfg.get("type") == "matrices":
         mats = acfg.get("generator_matrices")
         _require(isinstance(mats, list) and len(mats) == len(gens),
                  "action.generator_matrices must list one matrix per generator")
-        k = len(mats[0]) if mats else int(acfg.get("dimension", 0))
-        _require(k >= 1, "action.dimension is required when there are no generators")
+        k = len(mats[0]) if mats and isinstance(mats[0], list) else acfg.get("dimension", 0)
+        _require(isinstance(k, int) and k >= 1,
+                 "action.dimension is required when there are no generators")
+        mats = [_matrix(m, "each action.generator_matrices entry", k) for m in mats]
         action = OrthogonalAction.from_generator_matrices(gamma, gens, mats, k)
     else:
         raise SchemaError("action.type must be 'permutation' or 'matrices'")
@@ -132,18 +159,24 @@ def _assemble(cfg: dict) -> Model:
     table = None
     if "character_table" in cfg:
         tcfg = cfg["character_table"]
-        reps = [gamma.index[Permutation.parse(degree, s)]
-                for s in tcfg["class_representatives"]]
-        table = CharacterTable.from_rows(gamma, tcfg["rows"], tcfg.get("labels"),
-                                         class_representatives=reps)
+        reps = tcfg.get("class_representatives")
+        _require(isinstance(reps, list) and all(isinstance(r, str) for r in reps),
+                 "character_table.class_representatives must be a list of cycle strings")
+        rows, labels = tcfg.get("rows"), tcfg.get("labels")
+        _require(_rows(rows, len(reps)),
+                 "character_table.rows must be rows of numbers, one per class")
+        _require(labels is None or (isinstance(labels, list) and len(labels) == len(rows)
+                                    and all(isinstance(x, str) for x in labels)),
+                 "character_table.labels must be a list of strings, one per row")
+        reps = [gamma.index[Permutation.parse(degree, s)] for s in reps]
+        table = CharacterTable.from_rows(gamma, rows, labels, class_representatives=reps)
     if table is not None:
         components = isotypic_components(action, table)
     else:
         components = _components_from_matrices(gamma, action)
 
     lcfg = cfg["linearization"]
-    _require("a" in lcfg, "linearization.a is required")
-    a = float(lcfg["a"])
+    a = _number(lcfg, "a", "linearization.a")
     C = _coupling_matrix(lcfg, action.dimension)
     if np.abs(C - C.T).max() > 1e-12:
         raise SchemaError("coupling matrix must be symmetric")
@@ -170,14 +203,19 @@ def _assemble(cfg: dict) -> Model:
         if zeta == "sigmoid":
             curves.append(EigenvalueCurve(comp.j, a, w))
         elif isinstance(zeta, dict) and "breakpoints" in zeta:
-            pts = tuple((float(x), a + w * float(v)) for x, v in zeta["breakpoints"])
+            bps = zeta["breakpoints"]
+            _require(_rows(bps, 2),
+                     "linearization.zeta.breakpoints must be a list of [alpha, value] pairs")
+            pts = tuple((float(x), a + w * float(v)) for x, v in bps)
             curves.append(EigenvalueCurve(comp.j, breakpoints=pts))
         else:
             raise SchemaError("linearization.zeta must be 'sigmoid' or {'breakpoints': ...}")
 
     hcfg = cfg.get("horizon", {})
-    m_max = int(hcfg.get("m_max", 12))
-    n_max = int(hcfg.get("n_max", 12))
+    m_max, n_max = hcfg.get("m_max", 12), hcfg.get("n_max", 12)
+    _require(all(isinstance(v, int) and not isinstance(v, bool) for v in (m_max, n_max))
+             and m_max >= 0 and n_max >= 1,
+             "horizon.m_max and horizon.n_max must be integers, m_max >= 0 and n_max >= 1")
     sup_mu = max(c.codomain()[1] for c in curves)
     bessel = BesselZeroTable.sufficient_for(sup_mu, m_max, n_max)
     critical = critical_points(curves, bessel)
@@ -196,7 +234,7 @@ def _assemble(cfg: dict) -> Model:
     an = cfg.get("analysis", {})
     mode = an.get("mode", "relative")
     k_fixed = bool(an.get("k_fixed", True))
-    bracket = float(an.get("alpha_bracket", 1.0))
+    bracket = _number(an, "alpha_bracket", "analysis.alpha_bracket", 1.0)
     mults = {comp.j: comp.multiplicity for comp in components}
     problem = bif.BifurcationProblem(ctx, curves, bessel, mults, critical,
                                      mode=mode, k_fixed=k_fixed, alpha_bracket=bracket)
@@ -210,27 +248,17 @@ def _coupling_matrix(lcfg: dict, k: int) -> np.ndarray:
     if isinstance(spec, dict):
         _require(spec.get("template") == "adjacency",
                  "only the 'adjacency' coupling template is supported")
-        adj = np.asarray(spec["adjacency"], dtype=float)
-        _require(adj.shape == (k, k), "adjacency matrix has the wrong shape")
-        return float(spec["c"]) * np.eye(k) + float(spec["d"]) * adj
-    C = np.asarray(spec, dtype=float)
-    _require(C.shape == (k, k), "coupling matrix has the wrong shape")
-    return C
+        adj = _matrix(spec.get("adjacency"), "the adjacency matrix", k)
+        return (_number(spec, "c", "coupling_matrix.c") * np.eye(k)
+                + _number(spec, "d", "coupling_matrix.d") * adj)
+    return _matrix(spec, "the coupling matrix", k)
 
 
 def _components_from_matrices(gamma: FiniteGroup, action: OrthogonalAction) -> list[IsotypicComponent]:
     """Isotypic blocks recovered from the matrices alone: eigenspaces of a
     symmetry-averaged generic matrix, merged by equal block characters."""
     k = action.dimension
-    rng = np.random.default_rng(7)
-    M = rng.standard_normal((k, k))
-    M = M + M.T
-    Mbar = np.zeros((k, k))
-    for x in range(gamma.order):
-        R = action.matrices[x]
-        Mbar += R @ M @ R.T
-    Mbar /= gamma.order
-    vals, vecs = np.linalg.eigh(Mbar)
+    vals, vecs = np.linalg.eigh(generic_invariant_matrix(action, 7))
     blocks: list[tuple[np.ndarray, tuple]] = []
     i = 0
     while i < k:

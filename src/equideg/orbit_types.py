@@ -12,8 +12,9 @@ primitive that walks that grid; containment, conjugacy, normalizer counts and
 intersections are row tests on its output.  Counting queries read one doubled
 scan whose even ticks are the base grid, and a count that differs between
 the two is an error.  Exact Fractions appear only at the API boundary (the
-conjugator of SubgroupG.conjugate, the angles elements_of returns) and in
-the float stabilizer test of the enumeration.
+conjugator of SubgroupG.conjugate, the angles elements_of returns).  The
+enumeration decides isotropy exactly, from integer fixed-space dimensions
+and containment between candidate classes.
 
 Subgroups with a full O(2) factor (the only infinite ones we need) are kept
 symbolically and delegate everything to Gamma'.
@@ -630,29 +631,29 @@ def fold(ctx: AmbientContext, t: OrbitType, s: int) -> OrbitType:
 
 def fixed_dim_irrep(ctx: AmbientContext, t: OrbitType, m: int, j: int) -> int:
     """dim (W_m (x) V_j^-)^H by character averaging."""
-    cached = ctx._fix_cache.get((t.key, m, j))
-    if cached is not None:
-        return cached
-    irr = ctx.irrep(j)
-    if t.kind == "o2":
-        if m >= 1:
-            got = 0
+    got = ctx._fix_cache.get((t.key, m, j))
+    if got is None:
+        if t.kind == "o2":
+            got = 0 if m >= 1 else _class_fix_dim(ctx, t.k2_class, j)
         else:
-            g = ctx.gamma
-            members = g.subgroup_classes()[t.k2_class].representative.members()
-            got = _snap_int(sum(irr.chars[x] for x in members) / len(members))
-    else:
-        tot = 0.0
-        L = t.rep.level
-        for kind, tick, g in t.rep.elems:
-            if m == 0:
-                tot += irr.chars[g]
-            elif kind == ROT:
-                tot += 2.0 * np.cos(TWO_PI * m * (tick / L)) * irr.chars[g]
-        got = _snap_int(tot / t.rep.order)
-    with ctx._lock:
-        ctx._fix_cache[(t.key, m, j)] = got
+            got = _fix_dim(ctx, t.rep, m, j)
+        with ctx._lock:
+            ctx._fix_cache[(t.key, m, j)] = got
     return got
+
+
+def _fix_dim(ctx: AmbientContext, h: SubgroupG, m: int, j: int) -> int:
+    """dim (W_m (x) V_j^-)^h for a finite subgroup h."""
+    chars = ctx.irrep(j).chars
+    tot = sum(chars[g] if m == 0 else 2.0 * np.cos(TWO_PI * m * (t / h.level)) * chars[g]
+              for kind, t, g in h.elems if m == 0 or kind == ROT)
+    return _snap_int(tot / h.order)
+
+
+def _class_fix_dim(ctx: AmbientContext, c2: int, j: int) -> int:
+    """dim (V_j^-)^K for the Gamma' subgroup class c2."""
+    members = ctx.gamma.subgroup_classes()[c2].representative.members()
+    return _snap_int(sum(ctx.irrep(j).chars[x] for x in members) / len(members))
 
 
 def _snap_int(val: float) -> int:
@@ -685,79 +686,6 @@ def fixed_space(ctx: AmbientContext, m: int, j: int, h: SubgroupG) -> np.ndarray
     P /= h.order
     vals, vecs = np.linalg.eigh(P)
     return vecs[:, vals > 0.5]
-
-
-def _pointwise_stabilizer(ctx: AmbientContext, m: int, j: int, W: np.ndarray,
-                          max_den: int) -> Optional[set]:
-    """All (kind, angle, g) fixing the column space of W pointwise; None if any
-    stabilizing angle fails to land on the rational grid (an off-grid element
-    means the candidate cannot be its own stabilizer)."""
-    irr = ctx.irrep(j)
-    d = irr.dim
-    f = W.shape[1]
-    out = set()
-    Wt = W.T.reshape(f, 2, d)  # each fixed vector as a 2 x d coordinate block
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    K = np.array([[1.0, 0.0], [0.0, -1.0]])
-    L = np.array([[0.0, 1.0], [1.0, 0.0]])
-    for g in range(ctx.gamma.order):
-        B = irr.mats[g]
-        WB = np.stack([w @ B.T for w in Wt])  # rotation part acts on the left
-        target = Wt.reshape(-1)
-        for kind, M1, M2 in ((ROT, np.eye(2), J), (REF, K, L)):
-            col1 = np.stack([M1 @ wb for wb in WB]).reshape(-1)
-            col2 = np.stack([M2 @ wb for wb in WB]).reshape(-1)
-            A = np.stack([col1, col2], axis=1)
-            sols = _unit_circle_solutions(A, target)
-            if sols is None:
-                return None
-            for x, y in sols:
-                phi = float(np.arctan2(float(y), float(x))) / TWO_PI % 1.0
-                for kcopy in range(m):
-                    tval = (phi + kcopy) / m
-                    frac = Fraction(tval).limit_denominator(max_den)
-                    if abs(float(frac) - tval) > 1e-9:
-                        if abs(tval - 1.0) <= 1e-9:  # wrapped zero angle
-                            frac = Fraction(0)
-                        else:
-                            return None
-                    out.add((kind, frac % 1, g))
-    return out
-
-
-def _unit_circle_solutions(A: np.ndarray, b: np.ndarray):
-    """Solutions of A v = b with |v| = 1; None when a whole circle solves."""
-    sol, res, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank == 0:
-        if np.linalg.norm(b) < 1e-9:
-            return None  # every angle fixes W: continuum
-        return []
-    if rank == 2:
-        if np.linalg.norm(A @ sol - b) > 1e-9:
-            return []
-        if abs(np.linalg.norm(sol) - 1.0) > 1e-9:
-            return []
-        return [tuple(sol)]
-    # rank 1: line of least-squares solutions sol + t * null
-    u, s, vt = np.linalg.svd(A)
-    null = vt[1]
-    # intersect |sol + t*null| = 1
-    p = float(sol @ null)
-    q = float(sol @ sol) - 1.0
-    disc = p * p - q
-    if disc < -1e-12:
-        return []
-    roots = []
-    for sign in (1.0, -1.0):
-        t = -p + sign * np.sqrt(max(disc, 0.0))
-        v = sol + t * null
-        if np.linalg.norm(A @ v - b) <= 1e-9:
-            roots.append(tuple(v))
-    uniq = []
-    for v in roots:
-        if not any(abs(v[0] - w[0]) + abs(v[1] - w[1]) < 1e-12 for w in uniq):
-            uniq.append(v)
-    return uniq
 
 
 # -- orbit type enumeration ------------------------------------------------------------
@@ -952,64 +880,37 @@ def orbit_types_direct(ctx: AmbientContext, m: int, j: int, include_non_phi0: bo
     return _orbit_types_enum(ctx, m, j, include_non_phi0)
 
 
+def _isotropy_classes(pool, dim, order, below):
+    """Members of pool that are the stabilizers of their own nonzero fixed space."""
+    # H < K gives Fix(K) <= Fix(H), so an equal dimension means K fixes all of Fix(H)
+    return [h for h in pool if dim(h) and not any(
+        order(k) > order(h) and order(k) % order(h) == 0 and dim(k) == dim(h) and below(h, k)
+        for k in pool)]
+
+
 def _orbit_types_m0(ctx: AmbientContext, j: int):
-    gamma = ctx.gamma
-    irr = ctx.irrep(j)
-    out = []
-    for ci, cls in enumerate(gamma.subgroup_classes()):
-        members = cls.representative.members()
-        P = np.zeros((irr.dim, irr.dim))
-        for x in members:
-            P += irr.mats[x]
-        P /= len(members)
-        vals, vecs = np.linalg.eigh(P)
-        W = vecs[:, vals > 0.5]
-        if W.shape[1] == 0:
-            continue
-        stab = 0
-        for g in range(gamma.order):
-            if np.abs(irr.mats[g] @ W - W).max() < 1e-9:
-                stab |= 1 << g
-        if stab == cls.representative.mask:
-            out.append(ctx.intern_o2(ci))
-    return out
+    classes = ctx.gamma.subgroup_classes()
+    dims = [_class_fix_dim(ctx, c, j) for c in range(len(classes))]
+    kept = _isotropy_classes(
+        range(len(classes)), dims.__getitem__, lambda c: classes[c].order,
+        lambda c, u: _gamma_mask_leq_class(ctx, classes[c].representative.mask, u))
+    return [ctx.intern_o2(c) for c in kept]
 
 
 def _orbit_types_enum(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool):
-    irr = ctx.irrep(j)
-    survivors = []
-    seen = set()
+    pool, seen = {}, set()
     for h in _candidate_subgroups(ctx, m * ctx.exponent, include_cyclic=include_non_phi0):
-        # quick character-based pruning before any matrix work
-        L = h.level
-        tot = sum(2.0 * np.cos(TWO_PI * m * (t / L)) * irr.chars[g]
-                  for kind, t, g in h.elems if kind == ROT)
-        fix = tot / h.order
-        if fix < 0.5:
+        if not _fix_dim(ctx, h, m, j):
             continue
         h = h.std_position()
-        if h in seen:
-            continue
-        seen.add(h)
-        survivors.append(h)
-    out = []
-    tested = set()
-    max_den = 4 * m * ctx.exponent
-    for h in survivors:
-        t = ctx.intern(h)
-        if t.key in tested:
-            continue
-        tested.add(t.key)
-        h0 = t.rep
-        W = fixed_space(ctx, m, j, h0)
-        if W.shape[1] == 0:
-            continue
-        stab = _pointwise_stabilizer(ctx, m, j, W, max_den)
-        exact = {(kind, Fraction(t, h0.level), g) for kind, t, g in h0.elems}
-        if stab is not None and stab == exact:
-            out.append(t)
-    out.sort(key=lambda t: (t.order, t.symbol))
-    return out
+        if h not in seen:
+            seen.add(h)
+            t = ctx.intern(h)
+            pool.setdefault(t.key, t)
+    dims = {key: fixed_dim_irrep(ctx, t, m, j) for key, t in pool.items()}
+    return sorted(_isotropy_classes(pool.values(), lambda t: dims[t.key], lambda t: t.order,
+                                    lambda t, u: leq(ctx, t, u)),
+                  key=lambda t: (t.order, t.symbol))
 
 
 def maximal_types(ctx: AmbientContext, m: int, j: int):

@@ -92,7 +92,7 @@ def irreps_with_antipodal(gamma: FiniteGroup, gamma_prime: FiniteGroup,
     split = split_gamma_prime(gamma, gamma_prime)
     out = {}
     for comp in components:
-        q = _single_copy_basis(gamma, action, comp)
+        q = _single_copy_basis(action, comp)
         mats = []
         for gi, sign in split:
             mats.append(sign * (q.T @ action.matrices[gi] @ q))
@@ -103,24 +103,25 @@ def irreps_with_antipodal(gamma: FiniteGroup, gamma_prime: FiniteGroup,
     return out
 
 
-def _single_copy_basis(gamma: FiniteGroup, action: OrthogonalAction,
-                       comp: IsotypicComponent) -> np.ndarray:
+def _single_copy_basis(action: OrthogonalAction, comp: IsotypicComponent) -> np.ndarray:
     if comp.multiplicity == 1:
         return comp.basis
-    # average a fixed generic symmetric matrix over the group; its eigenspaces
-    # inside the block split the copies
-    rng = np.random.default_rng(12345)
-    k = action.dimension
-    M = rng.standard_normal((k, k))
-    M = M + M.T
-    Mbar = np.zeros((k, k))
-    for x in range(gamma.order):
-        R = action.matrices[x]
-        Mbar += R @ M @ R.T
-    Mbar /= gamma.order
-    sub = comp.basis.T @ Mbar @ comp.basis
+    # eigenspaces of a generic invariant matrix inside the block split the copies
+    sub = comp.basis.T @ generic_invariant_matrix(action, 12345) @ comp.basis
     vals, vecs = np.linalg.eigh(sub)
     # group eigenvalues; each cluster of size irrep_dim spans one copy
     order = np.argsort(vals)
     chosen = vecs[:, order[: comp.irrep_dim]]
     return comp.basis @ chosen
+
+
+def generic_invariant_matrix(action: OrthogonalAction, seed: int) -> np.ndarray:
+    """Group average of a seeded random symmetric matrix: it commutes with the
+    action, and for a generic draw its eigenspaces are irreducible summands."""
+    k = action.dimension
+    M = np.random.default_rng(seed).standard_normal((k, k))
+    M = M + M.T
+    Mbar = np.zeros((k, k))
+    for R in action.matrices:
+        Mbar += R @ M @ R.T
+    return Mbar / action.group.order

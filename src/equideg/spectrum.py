@@ -178,7 +178,7 @@ class BesselZeroTable:
         cuts off the frequencies and the deepest kept row passes sup_mu.
         """
         m_need = m_max
-        while m_need * (m_need + 2) <= sup_mu:
+        while m_need <= MAX_ORDER and m_need * (m_need + 2) <= sup_mu:
             m_need += 1
         table = cls(max(m_max, m_need), n_max)
         while True:

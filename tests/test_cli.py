@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equideg.cli import main
 from equideg.model_io import bundled_config
+
+from test_generality import TRIANGLE
 
 
 def run_cli(capsys, *args):
@@ -111,3 +118,56 @@ def test_malformed_section_is_exit_2(capsys, tmp_path, path, value):
     code, _, err = run_cli(capsys, "--config", str(p), "report")
     assert code == 2
     assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("path, value", [
+    (("horizon", "n_max"), -4),
+    (("horizon", "m_max"), [1]),
+    (("character_table", "rows"), 5),
+    (("linearization", "zeta"), {"breakpoints": 5}),
+    (("action", "generator_images"), [5, 5]),
+    (("linearization", "a"), float("inf")),
+], ids=["n_max", "m_max", "rows", "zeta", "generator_images", "a_infinite"])
+def test_malformed_field_is_exit_2(capsys, tmp_path, path, value):
+    cfg = bundled_config("six_membranes")
+    cfg[path[0]][path[1]] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "--config", str(p), "critical-points")
+    assert code == 2
+    assert err.startswith("config error:") and ".".join(path) in err
+
+
+def _field_paths(cfg, prefix=()):
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+def _json_kind(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+_FIELDS = sorted(_field_paths(TRIANGLE))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from(_FIELDS), st.data())
+def test_ill_typed_field_is_exit_0_or_2(path, data):
+    cfg = copy.deepcopy(TRIANGLE)
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    value = data.draw(_JSON_VALUES.filter(
+        lambda v: _json_kind(v) != _json_kind(section[path[-1]])))
+    section[path[-1]] = value
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--config", json.dumps(cfg), "critical-points"])
+    assert code in (0, 2)

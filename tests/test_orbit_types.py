@@ -2,14 +2,17 @@ import importlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from equideg.errors import InfiniteSubgroup, InfiniteWeyl, NonIntegralWeyl
+from equideg.model_io import bundled_model, load_model
 from equideg.orbit_types import (
     REF,
     ROT,
     AmbientContext,
     SubgroupG,
+    _candidate_subgroups,
     ambient_weyl_order,
     elements_of,
     fixed_dim_irrep,
@@ -27,6 +30,7 @@ from equideg.orbit_types import (
 )
 
 from s5_fixtures import MAXIMAL_1, MAXIMAL_3
+from test_generality import TRIANGLE
 
 
 def _angles(h):
@@ -203,13 +207,104 @@ def test_rotation_paired_antipodal_subgroup(ctx, model):
         weyl_order_amalgam(ctx, t)
 
 
+def _o2_matrices(kinds, angles):
+    """2 x 2 matrices of O(2) elements on W_1, rotations for kind 0."""
+    c, s = np.cos(2 * np.pi * angles), np.sin(2 * np.pi * angles)
+    return np.where(np.asarray(kinds)[:, None, None] == ROT,
+                    np.array([[c, -s], [s, c]]).transpose(2, 0, 1),
+                    np.array([[c, s], [s, -c]]).transpose(2, 0, 1))
+
+
+def _fixed_block(ctx, j, h):
+    """Fix(h) in W_1 (x) V_j^- as a (2, dim, f) block, from the averaged
+    matrices kron(R, B_g) of h's elements."""
+    kinds, ticks, gammas = np.array(sorted(h.elems)).T
+    mats = np.array(ctx.irrep(j).mats)
+    P = np.einsum("nab,nic->aibc", _o2_matrices(kinds, ticks / h.level), mats[gammas])
+    d = mats.shape[1]
+    vals, vecs = np.linalg.eigh(P.reshape(2 * d, 2 * d) / h.order)
+    return vecs[:, vals > 0.5].reshape(2, d, -1)
+
+
+def _grid_stabilizer(ctx, j, Wr, N):
+    """Elements (kind, n / N, g) of O(2) x Gamma' on the angle grid 1/N that
+    fix the block Wr of _fixed_block pointwise; one einsum per Gamma' element
+    covers both kinds and every grid angle."""
+    grid = np.arange(N) / N
+    R = np.array([_o2_matrices([kind] * N, grid) for kind in (ROT, REF)])
+    irr = ctx.irrep(j)
+    out = set()
+    for g, B in enumerate(irr.mats):
+        moved = np.einsum("xnab,ic,bcf->xnaif", R, B, Wr)
+        for kind, n in zip(*np.nonzero(np.abs(moved - Wr).max(axis=(2, 3, 4)) < 1e-9)):
+            out.add(((ROT, REF)[kind], Fraction(int(n), N), g))
+    return frozenset(out)
+
+
+def _check_isotropy_against_grid(ctx, include_non_phi0):
+    """Every candidate class with a nonzero fixed space is kept by orbit_types
+    exactly when the grid stabilizer of its fixed space is its representative.
+
+    The grid 1/(4 * exponent) holds every stabilizer.  A rotation (x, g) in a
+    finite stabilizer has (x, g)^|g| = (x^|g|, 1), which fixes a nonzero
+    vector of W_1 only for angles of x in (1/|g|)Z.  A reflection differs from
+    the representative's axis-0 reflection by such a rotation; a class without
+    reflections is normalized by every rotation, and so is its stabilizer,
+    which being finite then holds no reflection either."""
+    N = 4 * ctx.exponent
+    checked = kept = 0
+    for j in ctx.active_js():
+        keys = {t.key for t in orbit_types(ctx, 1, j, include_non_phi0)}
+        pool = {}
+        for h in _candidate_subgroups(ctx, ctx.exponent, include_cyclic=include_non_phi0):
+            if _fixed_block(ctx, j, h).shape[2]:
+                t = ctx.intern(h)
+                if t.key not in pool:
+                    pool[t.key] = (t, _fixed_block(ctx, j, t.rep))
+        assert keys <= pool.keys()
+        for key, (t, W) in pool.items():
+            own = _grid_stabilizer(ctx, j, W, N) == _angles(t.rep)
+            assert own == (key in keys), (j, t.symbol)
+            checked += 1
+            kept += own
+    assert checked > kept > 0
+    return checked
+
+
 def test_orbit_types_are_their_own_stabilizers(ctx):
-    from equideg.orbit_types import _pointwise_stabilizer, fixed_space
-    for j in (0, 2, 3):
-        for t in orbit_types(ctx, 1, j)[:4]:
-            W = fixed_space(ctx, 1, j, t.rep)
-            stab = _pointwise_stabilizer(ctx, 1, j, W, 4 * ctx.exponent)
-            assert stab == _angles(t.rep)
+    assert _check_isotropy_against_grid(ctx, False) >= 300
+
+
+@pytest.mark.parametrize("which, include_non_phi0", [
+    ("six", True), ("triangle", False), ("triangle", True),
+], ids=["six-cyclic", "triangle", "triangle-cyclic"])
+def test_isotropy_matches_grid_stabilizer(which, include_non_phi0):
+    # a fresh model: cyclic types would add symbols to the shared context
+    model = bundled_model() if which == "six" else load_model(TRIANGLE)
+    _check_isotropy_against_grid(model.ctx, include_non_phi0)
+
+
+def test_orbit_types_m0_are_their_own_stabilizers(ctx):
+    """At m = 0, O(2) x K is kept exactly when K is the Gamma' stabilizer of
+    its fixed space in V_j^-, read off the irrep matrices."""
+    classes = ctx.gamma.subgroup_classes()
+    checked = kept = 0
+    for j in ctx.active_js():
+        mats = np.array(ctx.irrep(j).mats)
+        keys = {t.k2_class for t in orbit_types(ctx, 0, j)}
+        for ci, cls in enumerate(classes):
+            members = cls.representative.members()
+            vals, vecs = np.linalg.eigh(mats[members].mean(axis=0))
+            W = vecs[:, vals > 0.5]
+            if not W.shape[1]:
+                assert ci not in keys
+                continue
+            fixed = np.abs(np.einsum("gik,kf->gif", mats, W) - W).max(axis=(1, 2)) < 1e-9
+            own = sorted(np.nonzero(fixed)[0]) == sorted(members)
+            assert own == (ci in keys), (j, ctx.class_names[ci])
+            checked += 1
+            kept += own
+    assert checked > kept > 0
 
 
 def _grid_oracle(h, k, M):

@@ -83,6 +83,13 @@ def test_horizon_guard(table):
     assert ei.value.required_m_max >= 11
 
 
+def test_sufficient_horizon_beyond_supported_range_is_refused():
+    # the frequency escalation stops at the supported range instead of
+    # counting towards sqrt(sup_mu)
+    with pytest.raises(ValueError, match="supported range"):
+        BesselZeroTable.sufficient_for(1e300)
+
+
 @pytest.fixture(scope="module")
 def model_curves():
     return [EigenvalueCurve(0, 32.0, 16.0), EigenvalueCurve(2, 32.0, 22.0),
@@ -220,3 +227,11 @@ def test_bessel_table_check_raises(corrupt, message):
     corrupt(table.entries)
     with pytest.raises(ConvergenceFailure, match=message):
         table._check()
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (0, 200), (1, 200), (30, 20), (100, 50),
+                                  (200, 1), (200, 200)])
+def test_bessel_zero_against_mpmath(m, n):
+    mpmath = pytest.importorskip("mpmath")
+    want = float(mpmath.besseljzero(m, n))
+    assert abs(bessel_zero(m, n) - want) <= 1e-13 * want
