@@ -216,29 +216,18 @@ class FiniteGroup:
     # -- subgroup level (bitmask representation) -------------------------------
 
     def closure_mask(self, mask: int) -> int:
-        """Closure of an element set (bitmask) under products and inverses."""
-        members = [i for i in range(self.order) if (mask >> i) & 1]
-        for i in list(members):
-            if not (mask >> self.inv[i]) & 1:
-                members.append(self.inv[i])
-                mask |= 1 << self.inv[i]
-        frontier = list(members)
-        while frontier:
-            new = []
-            for a in frontier:
-                row = self.mul[a]
-                for b in members:
-                    c = row[b]
-                    if not (mask >> c) & 1:
-                        mask |= 1 << c
-                        new.append(c)
-                    c = self.mul[b][a]
-                    if not (mask >> c) & 1:
-                        mask |= 1 << c
-                        new.append(c)
-            members.extend(new)
-            frontier = new
-        return mask
+        """Subgroup generated by an element set (bitmask): the identity,
+        right-multiplied by the set's elements until nothing new appears."""
+        gens = self.mask_elements(mask)
+        out, reached = 1, [0]
+        for a in reached:
+            row = self.mul[a]
+            for s in gens:
+                c = row[s]
+                if not (out >> c) & 1:
+                    out |= 1 << c
+                    reached.append(c)
+        return out
 
     def subgroup_from_indices(self, indices: Iterable[int]) -> "Subgroup":
         mask = 1  # identity
@@ -260,26 +249,32 @@ class FiniteGroup:
         return out
 
     def all_subgroups(self) -> list[int]:
-        """Every subgroup, as a sorted list of bitmasks (BFS over cyclic extensions)."""
+        """Every subgroup, as a sorted list of bitmasks.
+
+        Breadth-first over joins <H, g>, trying g once per pair of right
+        cosets H.g and H.g^-1, since <H, hg> = <H, g> = <H, g^-1>.
+        """
         with self._lock:
             if self._subgroups is None:
                 if self.order > DEFAULT_LATTICE_CAP:
                     raise ClosureCapExceeded(
                         f"subgroup lattice capped at order {DEFAULT_LATTICE_CAP}, group has {self.order}")
-                trivial = 1
-                seen = {trivial}
-                frontier = [trivial]
-                while frontier:
-                    nxt = []
-                    for mask in frontier:
-                        for g in range(1, self.order):
-                            if (mask >> g) & 1:
-                                continue
-                            bigger = self.closure_mask(mask | (1 << g))
-                            if bigger not in seen:
-                                seen.add(bigger)
-                                nxt.append(bigger)
-                    frontier = nxt
+                mul = self.mul
+                seen = {1}
+                queue = [1]
+                for mask in queue:
+                    members = self.mask_elements(mask)
+                    done = mask
+                    for g in range(1, self.order):
+                        if (done >> g) & 1:
+                            continue
+                        bigger = self.closure_mask(mask | (1 << g))
+                        if bigger not in seen:
+                            seen.add(bigger)
+                            queue.append(bigger)
+                        for x in (g, self.inv[g]):
+                            for h in members:
+                                done |= 1 << mul[h][x]
                 self._subgroups = sorted(seen)
             return self._subgroups
 
@@ -537,7 +532,14 @@ class OrthogonalAction:
             frontier = nxt
         if len(mats) != group.order:
             raise NonPermutationInput("generator matrices do not reach the whole group")
-        return cls(group, [mats[i] for i in range(group.order)], dimension)
+        stack = np.array([mats[i] for i in range(group.order)])
+        for gi, m in zip(gen_idx, gen_matrices):
+            # a homomorphism: rho(g x) = rho(g) rho(x) for every generator g
+            if np.abs(stack[group.mul[gi]] - np.asarray(m, dtype=float) @ stack).max() > 1e-12:
+                raise NonPermutationInput(
+                    f"action of generator {group.elements[gi].cycle_string()} "
+                    "does not respect the group relations")
+        return cls(group, list(stack), dimension)
 
     @classmethod
     def from_permutation_images(cls, group: FiniteGroup, generators: Sequence[Permutation],

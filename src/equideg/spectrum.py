@@ -3,8 +3,9 @@
 s_nm denotes the squared n-th positive zero of the Bessel function J_m; the
 linearization crosses eigenvalues where mu_j(alpha) = s_nm.  Bessel functions
 are evaluated by the ascending series for small argument and by backward
-(Miller) recurrence otherwise; zeros are bracketed by a scan with McMahon-size
-steps and polished by bisection + Newton.
+(Miller) recurrence otherwise.  The zeros of one J_m come from one sweep in
+unit steps from x ~ m; each sign change is polished by bisection and two
+Newton steps.
 """
 
 from __future__ import annotations
@@ -83,32 +84,30 @@ def bessel_zero(m: int, n: int) -> float:
     """n-th positive zero of J_m, to near machine precision."""
     if not (0 <= m <= MAX_ORDER and 1 <= n <= MAX_INDEX):
         raise ValueError(f"supported range is m <= {MAX_ORDER}, n <= {MAX_INDEX}")
-    # scan for sign changes starting just past the transition point x ~ m
-    lo = max(m, 1e-3)
-    f_lo = bessel_j(m, lo)
-    step = 1.0
-    found = 0
-    x = lo
-    guard = 0
-    while True:
-        x2 = x + step
+    return _row_zeros(m, n)[-1]
+
+
+def _row_zeros(m: int, count: int) -> list[float]:
+    """The first `count` positive zeros of J_m, from one sweep for sign changes
+    in unit steps starting just past the transition point x ~ m."""
+    x = max(m, 1e-3)
+    f_lo = bessel_j(m, x)
+    zeros: list[float] = []
+    for _ in range(100001):
+        if len(zeros) == count:
+            return zeros
+        x2 = x + 1.0
         f2 = bessel_j(m, x2)
         if f_lo == 0.0:
-            found += 1
-            if found == n:
-                return x
+            zeros.append(x)
         elif f_lo * f2 < 0.0:
-            found += 1
-            if found == n:
-                return _polish_zero(m, x, x2)
+            zeros.append(_polish_zero(m, x, x2, f_lo))
         x, f_lo = x2, f2
-        guard += 1
-        if guard > 100000:
-            raise ConvergenceFailure(f"could not bracket zero {n} of J_{m}")
+    raise ConvergenceFailure(f"could not bracket zero {len(zeros) + 1} of J_{m}")
 
 
-def _polish_zero(m: int, a: float, b: float) -> float:
-    fa = bessel_j(m, a)
+def _polish_zero(m: int, a: float, b: float, fa: float) -> float:
+    """The zero of J_m in [a, b], where fa = J_m(a) and J_m(b) differ in sign."""
     for _ in range(200):
         mid = 0.5 * (a + b)
         fm = bessel_j(m, mid)
@@ -146,8 +145,7 @@ class BesselZeroTable:
             raise ValueError("horizon exceeds supported range")
         self.m_max = m_max
         self.n_max = n_max
-        self.entries = [[bessel_zero_sq(m, n) for n in range(1, n_max + 1)]
-                        for m in range(m_max + 1)]
+        self.entries = [[z * z for z in _row_zeros(m, n_max)] for m in range(m_max + 1)]
         self._check()
 
     def _check(self):

@@ -138,6 +138,16 @@ def test_malformed_field_is_exit_2(capsys, tmp_path, path, value):
     assert err.startswith("config error:") and ".".join(path) in err
 
 
+def test_generator_images_breaking_relations_are_exit_2(capsys):
+    # permutations of the coordinates, but no homomorphism: (1 2 3) and (1 2)
+    # both act as one transposition
+    cfg = copy.deepcopy(TRIANGLE)
+    cfg["action"]["generator_images"] = [[1, 0, 2], [1, 0, 2]]
+    code, _, err = run_cli(capsys, "--config", json.dumps(cfg), "critical-points")
+    assert code == 2
+    assert err.startswith("config error:") and "relations" in err
+
+
 def _field_paths(cfg, prefix=()):
     for key, value in cfg.items():
         yield prefix + (key,)

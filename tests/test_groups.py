@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equideg.errors import (
     NonIntegralMultiplicity,
@@ -10,6 +12,7 @@ from equideg.errors import (
 )
 from equideg.groups import (
     CharacterTable,
+    FiniteGroup,
     OrthogonalAction,
     Permutation,
     Subgroup,
@@ -23,6 +26,7 @@ from equideg.groups import (
     symmetric_group,
     weyl_order,
 )
+from equideg.model_io import bundled_model
 
 S4_ROWS = [
     [1, 1, 1, 1, 1],
@@ -284,3 +288,98 @@ def test_weyl_order_rejects_non_multiple_normalizer(monkeypatch):
     monkeypatch.setattr(g, "normalizer_mask", lambda mask: 0b111)
     with pytest.raises(NonIntegralWeyl):
         weyl_order(g, h)
+
+
+def _old_closure_mask(g, mask):
+    # the two-sided product closure that closure_mask replaced, kept as an oracle
+    members = [i for i in range(g.order) if (mask >> i) & 1]
+    for i in list(members):
+        if not (mask >> g.inv[i]) & 1:
+            members.append(g.inv[i])
+            mask |= 1 << g.inv[i]
+    frontier = list(members)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in members:
+                for c in (g.mul[a][b], g.mul[b][a]):
+                    if not (mask >> c) & 1:
+                        mask |= 1 << c
+                        new.append(c)
+        members.extend(new)
+        frontier = new
+    return mask
+
+
+def _old_all_subgroups(g):
+    # BFS over every (H, g) pair, without the coset deduplication
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            for x in range(1, g.order):
+                if not (mask >> x) & 1:
+                    bigger = _old_closure_mask(g, mask | (1 << x))
+                    if bigger not in seen:
+                        seen.add(bigger)
+                        nxt.append(bigger)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _generated(degree, *cycles):
+    return group_from_generators(degree, [Permutation.parse(degree, c) for c in cycles])
+
+
+@pytest.mark.parametrize("name", ["C6", "C12", "D4", "D6", "S3xZ2", "A4", "S4", "S4xZ2"])
+def test_all_subgroups_match_pairwise_bfs(name):
+    g = {
+        "C6": lambda: cyclic_group(6),
+        "C12": lambda: cyclic_group(12),
+        "D4": lambda: _generated(4, "(1 2 3 4)", "(1 3)"),
+        "D6": lambda: _generated(6, "(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"),
+        "S3xZ2": lambda: direct_product(symmetric_group(3), cyclic_group(2)),
+        "A4": lambda: _generated(4, "(1 2 3)", "(1 2)(3 4)"),
+        "S4": lambda: symmetric_group(4),
+        "S4xZ2": lambda: direct_product(symmetric_group(4), cyclic_group(2)),
+    }[name]()
+    subs = g.all_subgroups()
+    assert subs == _old_all_subgroups(g)
+    assert len(subs) == {"S4": 30, "S4xZ2": 98}.get(name, len(subs))
+
+
+_S4XZ2 = direct_product(symmetric_group(4), cyclic_group(2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sets(st.integers(0, 47), min_size=1, max_size=5))
+def test_closure_mask_matches_two_sided_closure(indices):
+    g = _S4XZ2
+    mask = sum(1 << i for i in indices)
+    assert g.closure_mask(mask) == _old_closure_mask(g, mask)
+
+
+def test_lattice_closure_count_per_load(monkeypatch):
+    # a work count, not a timing: one closure per pair of right cosets tried
+    # (4,176 per load with a closure for every (H, g) pair)
+    calls = []
+    closure = FiniteGroup.closure_mask
+
+    def counted(self, mask):
+        calls.append(mask)
+        return closure(self, mask)
+
+    monkeypatch.setattr(FiniteGroup, "closure_mask", counted)
+    bundled_model()
+    assert 0 < len(calls) < 1500
+
+
+def test_generator_images_must_respect_relations():
+    # S3 = <(1 2 3), (1 2)>; sending both generators to one transposition
+    # breaks (1 2 3)^3 = e
+    s3 = symmetric_group(3)
+    gens = [Permutation.parse(3, "(1 2 3)"), Permutation.parse(3, "(1 2)")]
+    OrthogonalAction.from_permutation_images(s3, gens, [[1, 2, 0], [1, 0, 2]], 3)
+    with pytest.raises(NonPermutationInput, match="relations"):
+        OrthogonalAction.from_permutation_images(s3, gens, [[1, 0, 2], [1, 0, 2]], 3)

@@ -235,3 +235,73 @@ def test_bessel_zero_against_mpmath(m, n):
     mpmath = pytest.importorskip("mpmath")
     want = float(mpmath.besseljzero(m, n))
     assert abs(bessel_zero(m, n) - want) <= 1e-13 * want
+
+
+def _rescan_zero(m, n):
+    # the per-zero rescan the row sweep replaced, kept as an oracle: every call
+    # scans from x = m in unit steps and polishes the n-th bracket on its own
+    from equideg.spectrum import bessel_j
+    x = max(m, 1e-3)
+    f_lo = bessel_j(m, x)
+    found = 0
+    while True:
+        x2 = x + 1.0
+        f2 = bessel_j(m, x2)
+        if f_lo == 0.0:
+            found += 1
+            if found == n:
+                return x
+        elif f_lo * f2 < 0.0:
+            found += 1
+            if found == n:
+                break
+        x, f_lo = x2, f2
+    a, b = x, x2
+    fa = bessel_j(m, a)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = bessel_j(m, mid)
+        if fm == 0.0 or (b - a) < 1e-14 * mid:
+            a = b = mid
+            break
+        if fa * fm < 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    x = 0.5 * (a + b)
+    for _ in range(2):
+        f = bessel_j(m, x)
+        d = -bessel_j(1, x) if m == 0 else 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
+        if d != 0.0:
+            x -= f / d
+    return x
+
+
+def test_table_is_bit_identical_to_per_zero_rescan():
+    table = BesselZeroTable(12, 12)
+    for m in range(13):
+        for n in range(1, 13):
+            z = _rescan_zero(m, n)
+            assert table.entries[m][n - 1] == z * z, (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(0, 40), (1, 33), (3, 17), (7, 40), (12, 1), (15, 25),
+                                  (21, 8), (28, 39), (36, 2), (40, 40)])
+def test_bessel_zero_is_bit_identical_to_per_zero_rescan(m, n):
+    assert bessel_zero(m, n) == _rescan_zero(m, n)
+
+
+def test_table_sweeps_each_row_once(monkeypatch):
+    # a work count, not a timing: 56,583 bessel_j calls when every zero
+    # rescanned its row from x = m
+    import equideg.spectrum as spectrum
+    calls = [0]
+    bessel_j = spectrum.bessel_j
+
+    def counted(m, x):
+        calls[0] += 1
+        return bessel_j(m, x)
+
+    monkeypatch.setattr(spectrum, "bessel_j", counted)
+    BesselZeroTable(24, 24)
+    assert 0 < calls[0] < 35000
