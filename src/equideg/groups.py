@@ -329,9 +329,6 @@ class FiniteGroup:
             self._class_weyl[ci] = got
         return got
 
-    def is_subgroup_mask(self, mask: int) -> bool:
-        return self.closure_mask(mask) == mask
-
     def __repr__(self) -> str:
         return f"FiniteGroup(degree={self.degree}, order={self.order})"
 

@@ -8,13 +8,17 @@ element g, and (REF, t, g) is the reflection kappa_a : z -> exp(2*pi*i*a) *
 conj(z), a = t / L, paired with g.  All conjugacy questions about
 O(2) x Gamma' reduce to scans over a finite grid of axis offsets, which is
 the truncation D_N x Gamma' of the ambient group.  conjugate_scan is the one
-primitive that walks that grid; containment, conjugacy, normalizer counts and
-intersections are row tests on its output.  Counting queries read one doubled
-scan whose even ticks are the base grid, and a count that differs between
-the two is an error.  Exact Fractions appear only at the API boundary (the
-conjugator of SubgroupG.conjugate, the angles elements_of returns).  The
-enumeration decides isotropy exactly, from integer fixed-space dimensions
-and containment between candidate classes.
+primitive that walks that grid, in blocks of conjugators of a bounded number
+of packed codes; containment, conjugacy, normalizer counts and intersections
+are one numpy row test per block.  Containment scans the smaller group's
+conjugates against the larger one, and builds conjugates of the larger one
+only for the hits.  Counting queries read one doubled scan whose even ticks
+are the base grid, and a count that differs between the two is an error.
+Exact Fractions appear only at the API boundary (the conjugator of
+SubgroupG.conjugate, the angles elements_of returns).  The enumeration
+builds the Goursat candidates once per context, with their fixed-space
+dimensions in every irrep, and decides isotropy exactly, from those integer
+dimensions and containment between candidate classes.
 
 Subgroups with a full O(2) factor (the only infinite ones we need) are kept
 symbolically and delegate everything to Gamma'.
@@ -42,7 +46,7 @@ from .groups import FiniteGroup, Subgroup, n_count
 
 ROT, REF = 0, 1
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 
 def _divisors(n: int) -> list[int]:
@@ -184,7 +188,7 @@ def conjugate_in_g(h1: SubgroupG, h2: SubgroupG) -> bool:
         return False
     if len(h1.axes) != len(h2.axes):
         return False
-    return any(rows.size for _, rows in _containing_scan(h1, h2, 1))
+    return any(g.size for _, g in _containing_scan(h1, h2, 1))
 
 
 @dataclass(frozen=True)
@@ -254,6 +258,7 @@ class AmbientContext:
         self._lock = threading.RLock()
         self._types: list[OrbitType] = []
         self._by_fingerprint: dict[tuple, list[int]] = {}
+        self._interned: dict[SubgroupG, OrbitType] = {}  # representative -> its type
         self._o2_types: dict[int, OrbitType] = {}
         self._symbol_counts: dict[str, int] = {}
         self._leq_cache: dict[tuple[int, int], bool] = {}
@@ -263,6 +268,8 @@ class AmbientContext:
         self._maximal_cache: dict[int, dict] = {}
         self._fix_cache: dict[tuple[int, int, int], int] = {}
         self._fold_cache: dict[tuple[int, int], OrbitType] = {}
+        # (m, include_cyclic) -> Goursat pool, see _goursat_pool
+        self._pools: dict[tuple[int, bool], list[list]] = {}
         self._generator_products: dict[tuple[int, int], dict] = {}  # burnside
         self._basic_degrees: dict[tuple[int, int], object] = {}  # degrees
         self.unit = self.intern_o2(gamma.subgroup_class_of((1 << gamma.order) - 1))
@@ -286,6 +293,9 @@ class AmbientContext:
 
     def intern(self, h: SubgroupG) -> OrbitType:
         h = h.std_position()
+        got = self._interned.get(h)
+        if got is not None:
+            return got
         fp = h.fingerprint()
         with self._lock:
             for key in self._by_fingerprint.get(fp, ()):
@@ -301,6 +311,7 @@ class AmbientContext:
                           self.gamma.subgroup_classes()[k2_class].order)
             self._types.append(t)
             self._by_fingerprint.setdefault(fp, []).append(t.key)
+            self._interned[h] = t
             return t
 
     def _base_symbol(self, h: SubgroupG) -> str:
@@ -385,9 +396,9 @@ def grid_arrays(h: SubgroupG, M: int):
     got = h._grids.get(M)
     if got is None:
         elems = sorted(h.elems)
-        kinds = np.array([e[0] for e in elems], dtype=np.int64)
-        ticks = np.array([e[1] for e in elems], dtype=np.int64) * (M // h.level)
-        gammas = np.array([e[2] for e in elems], dtype=np.int64)
+        kinds = np.array([e[0] for e in elems], dtype=np.int32)
+        ticks = np.array([e[1] for e in elems], dtype=np.int32) * (M // h.level)
+        gammas = np.array([e[2] for e in elems], dtype=np.int32)
         got = (kinds, ticks, gammas, elems)
         h._grids[M] = got
     return got
@@ -402,40 +413,65 @@ def grid_member(h: SubgroupG, M: int) -> np.ndarray:
     return member
 
 
-def conjugate_scan(h: SubgroupG, M: int):
-    """Every conjugate of h over the angle grid 1/M, one O(2) conjugator at a time.
+# conjugate_scan's block size, in packed codes
+SCAN_BLOCK = 1 << 14
 
-    For x = (kind, c) with two_c = 2cM in [0, M), ROT before REF and two_c
-    ascending, yields (two_c, ticks, codes): ticks are the O(2) angles of
-    x^-1 h x over 1/M in grid_arrays order, and row g of codes holds the
-    packed codes of (x, g)^-1 h (x, g).  Conjugation by c and by c + 1/2 act
-    identically, so every conjugator of the grid group is met once up to the
-    order-2 kernel of the conjugation action.  Forward conjugation by
-    (kind, c, g) is the step (ROT, -two_c) or (REF, two_c) at row g^-1.
+
+def conjugate_codes(h: SubgroupG, M: int, step: np.ndarray, g: Optional[np.ndarray] = None):
+    """(ticks, codes) of the conjugates (x, g)^-1 h (x, g) over the grid 1/M.
+
+    Step two_c is x = (ROT, c) and step M + two_c is x = (REF, c), with
+    two_c = 2cM in [0, M); c and c + 1/2 act identically, so the 2M steps meet
+    every conjugator of the grid group once up to the order-2 kernel of the
+    conjugation action.  ticks (steps, |h|) holds the O(2) angles of x^-1 h x
+    in grid_arrays order; codes holds the packed codes, shaped (steps,
+    |Gamma'|, |h|) with one row per g, or (steps, |h|) for the pairs
+    (step[i], g[i]) when g is given.
     """
     gamma = h.gamma
     if gamma.inv_conj_np is None:
-        gamma.inv_conj_np = np.array([gamma.conj_map[i] for i in gamma.inv], dtype=np.int64)
+        gamma.inv_conj_np = np.array([gamma.conj_map[i] for i in gamma.inv], dtype=np.int32)
     kinds, ticks, gammas, _ = grid_arrays(h, M)
-    conj = gamma.inv_conj_np[:, gammas]
-    rot = kinds == ROT
-    kind_base = kinds * M
-    for kind in (ROT, REF):
-        for two_c in range(M):
-            if kind == ROT:
-                o2 = np.where(rot, ticks, (ticks - two_c) % M)
-            else:
-                o2 = np.where(rot, (-ticks) % M, (two_c - ticks) % M)
-            yield two_c, o2, ((kind_base + o2) * gamma.order)[None, :] + conj
+    # ROT keeps rotations and maps axis t to t - two_c; REF negates both
+    sign = np.where(step < M, np.int32(1), np.int32(-1))[:, None]
+    o2 = (sign * (ticks - (step % M)[:, None] * (kinds == REF))) % M
+    base = (kinds * M + o2) * gamma.order
+    if g is None:
+        return o2, base[:, None, :] + gamma.inv_conj_np[:, gammas]
+    return o2, base + gamma.inv_conj_np[g[:, None], gammas]
+
+
+def conjugate_scan(h: SubgroupG, M: int):
+    """Every conjugate of h over the angle grid 1/M, as (step, ticks, codes)
+    of conjugate_codes for blocks of consecutive steps (ROT before REF, two_c
+    ascending, rows by g) of about SCAN_BLOCK codes, at least one step each.
+    Forward conjugation by (kind, c, g) is the step of (ROT, -c) or (REF, c)
+    at row g^-1."""
+    per_block = max(1, SCAN_BLOCK // (h.gamma.order * h.order))
+    for s0 in range(0, 2 * M, per_block):
+        step = np.arange(s0, min(s0 + per_block, 2 * M), dtype=np.int32)
+        yield (step, *conjugate_codes(h, M, step))
 
 
 def _containing_scan(h: SubgroupG, k: SubgroupG, grid_mult: int):
-    """(two_c, rows) per step of the scan of k over lcm(levels) * grid_mult:
-    the packed codes of the conjugates of k that contain h."""
+    """(step, g) per block: the conjugators (x, g) of the grid lcm(levels) *
+    grid_mult with h inside (x, g)^-1 k (x, g), that is (x, g) h (x, g)^-1
+    inside k; h is no larger than k, so the scan runs over h's conjugates."""
     M = math.lcm(h.level, k.level) * grid_mult
-    inner = grid_member(h, M)
-    for two_c, _, codes in conjugate_scan(k, M):
-        yield two_c, codes[inner[codes].sum(axis=1) == h.order]
+    in_k = grid_member(k, M)
+    inv = np.asarray(h.gamma.inv)
+    for step, _, codes in conjugate_scan(h, M):
+        s, r = np.nonzero(in_k[codes].all(axis=2))
+        # a hit (x, r) is the inverse of the conjugator sought: x^-1 is the
+        # step of -two_c for ROT and x itself for REF
+        step = step[s]
+        yield np.where(step < M, (M - step) % M, step), inv[r]
+
+
+def _distinct_rows(rows: np.ndarray) -> set:
+    """The rows of a 2-D array, each as bytes."""
+    buf, w = rows.tobytes(), rows.shape[1] * rows.itemsize
+    return {buf[i:i + w] for i in range(0, len(buf), w)}
 
 
 def intersections(a: SubgroupG, b: SubgroupG):
@@ -450,14 +486,14 @@ def intersections(a: SubgroupG, b: SubgroupG):
     refl = kinds == REF
     seen = set()
     for _, o2, codes in conjugate_scan(a, M):
-        if not b_axis[o2[refl]].any():
-            continue
-        present = in_b[codes]
-        for mask in present[(present.sum(axis=1) > 1) & present[:, refl].any(axis=1)]:
-            key = mask.tobytes()
+        present = in_b[codes[b_axis[o2[:, refl]].any(axis=1)]].reshape(-1, len(elems))
+        present = present[(np.count_nonzero(present, axis=1) > 1) & present[:, refl].any(axis=1)]
+        buf, w = present.tobytes(), len(elems)
+        for i in range(len(present)):
+            key = buf[i * w:(i + 1) * w]
             if key not in seen:
                 seen.add(key)
-                yield frozenset(elems[i] for i in np.nonzero(mask)[0])
+                yield frozenset(elems[x] for x in np.nonzero(present[i])[0])
 
 
 # -- partial order, counts, Weyl groups --------------------------------------------
@@ -475,7 +511,7 @@ def leq(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> bool:
         got = False
     else:
         got = (h.order <= k.order and k.order % h.order == 0
-               and any(rows.size for _, rows in _containing_scan(h.rep, k.rep, 1)))
+               and any(g.size for _, g in _containing_scan(h.rep, k.rep, 1)))
     with ctx._lock:
         ctx._leq_cache[(h.key, k.key)] = got
     return got
@@ -523,12 +559,15 @@ def _containing_counts(h: SubgroupG, k: SubgroupG, grid_mult: int) -> tuple[int,
     the base grid and on the doubled grid."""
     if h.order > k.order or k.order % h.order != 0:
         return 0, 0
+    M = math.lcm(h.level, k.level) * grid_mult
     even, every = set(), set()
-    for two_c, rows in _containing_scan(h, k, grid_mult):
-        for row in np.sort(rows, axis=1):
-            every.add(row.tobytes())
-            if two_c % 2 == 0:
-                even.add(row.tobytes())
+    per_block = max(1, SCAN_BLOCK // k.order)  # hits whose conjugates fill a block
+    for steps, gs in _containing_scan(h, k, grid_mult):
+        for i in range(0, len(steps), per_block):
+            step, g = steps[i:i + per_block], gs[i:i + per_block]
+            rows = np.sort(conjugate_codes(k, M, step, g)[1], axis=1)
+            every |= _distinct_rows(rows)
+            even |= _distinct_rows(rows[step % M % 2 == 0])
     return len(even), len(every)
 
 
@@ -563,15 +602,15 @@ def _normalizer_counts(h: SubgroupG, grid_mult: int) -> tuple[int, int]:
     """Size of the normalizer intersected with the alignment grid, over the
     conjugators of the even steps and of all steps of one scan.
 
-    Each hit of the scan accounts for two conjugators (see conjugate_scan),
+    Each hit of the scan accounts for two conjugators (see conjugate_codes),
     which matches |N(H)| because the kernel of the conjugation action has
     order 2.
     """
+    M = h.level * grid_mult
     even = every = 0
-    for two_c, rows in _containing_scan(h, h, grid_mult):
-        every += len(rows)
-        if two_c % 2 == 0:
-            even += len(rows)
+    for step, _ in _containing_scan(h, h, grid_mult):
+        every += len(step)
+        even += np.count_nonzero(step % M % 2 == 0)
     return 2 * even, 2 * every
 
 
@@ -636,18 +675,26 @@ def fixed_dim_irrep(ctx: AmbientContext, t: OrbitType, m: int, j: int) -> int:
         if t.kind == "o2":
             got = 0 if m >= 1 else _class_fix_dim(ctx, t.k2_class, j)
         else:
-            got = _fix_dim(ctx, t.rep, m, j)
+            got = _fix_dims(ctx, t.rep, m, (j,))[j]
         with ctx._lock:
             ctx._fix_cache[(t.key, m, j)] = got
     return got
 
 
-def _fix_dim(ctx: AmbientContext, h: SubgroupG, m: int, j: int) -> int:
-    """dim (W_m (x) V_j^-)^h for a finite subgroup h."""
-    chars = ctx.irrep(j).chars
-    tot = sum(chars[g] if m == 0 else 2.0 * np.cos(TWO_PI * m * (t / h.level)) * chars[g]
-              for kind, t, g in h.elems if m == 0 or kind == ROT)
-    return _snap_int(tot / h.order)
+def _fix_dims(ctx: AmbientContext, h: SubgroupG, m: int, js: Iterable[int]) -> dict[int, int]:
+    """dim (W_m (x) V_j^-)^h for each j in js and a finite subgroup h, from
+    one pass over h's elements."""
+    weight: dict[int, float] = {}
+    for kind, t, g in h.elems:
+        if m == 0:
+            weight[g] = weight.get(g, 0.0) + 1.0
+        elif kind == ROT:
+            weight[g] = weight.get(g, 0.0) + 2.0 * math.cos(TWO_PI * m * (t / h.level))
+    out = {}
+    for j in js:
+        chars = ctx.irrep(j).chars
+        out[j] = _snap_int(sum(chars[g] * w for g, w in weight.items()) / h.order)
+    return out
 
 
 def _class_fix_dim(ctx: AmbientContext, c2: int, j: int) -> int:
@@ -774,6 +821,7 @@ def _candidate_subgroups(ctx: AmbientContext, amax: int, include_cyclic: bool):
     gamma = ctx.gamma
     classes = gamma.subgroup_classes()
     all_subs = gamma.all_subgroups()
+    normal: dict[int, list[int]] = {}  # class -> normal subgroups of its representative
     for a1 in _divisors(amax):
         # kernel shapes inside D_{a1} (and Z_{a1} when cyclic types are wanted)
         shapes = []
@@ -800,13 +848,12 @@ def _candidate_subgroups(ctx: AmbientContext, amax: int, include_cyclic: bool):
                 if k2_order % max(q1_size, 1) != 0:
                     continue
                 z2_order = k2_order // max(q1_size, 1)
-                for z2_mask in all_subs:
-                    if (z2_mask & ~k2_mask) != 0:
-                        continue
+                if ci not in normal:
+                    k2 = gamma.mask_elements(k2_mask)
+                    normal[ci] = [z for z in all_subs if (z & ~k2_mask) == 0 and all(
+                        gamma.conjugate_mask(z, x) == z for x in k2)]
+                for z2_mask in normal[ci]:
                     if bin(z2_mask).count("1") != z2_order:
-                        continue
-                    if any(gamma.conjugate_mask(z2_mask, x) != z2_mask
-                           for x in gamma.mask_elements(k2_mask)):
                         continue
                     q2 = _Quotient(gamma, k2_mask, z2_mask)
                     if shape == "fulldihedral":
@@ -897,17 +944,38 @@ def _orbit_types_m0(ctx: AmbientContext, j: int):
     return [ctx.intern_o2(c) for c in kept]
 
 
+def _goursat_pool(ctx: AmbientContext, m: int, include_cyclic: bool):
+    """The distinct std-position Goursat candidates at frequency m whose fixed
+    space is nonzero in some active irrep, in candidate order, each with its
+    dim Fix per active irrep; built once per context."""
+    key = (m, include_cyclic)
+    got = ctx._pools.get(key)
+    if got is None:
+        js = ctx.active_js()
+        got, seen = [], set()
+        for h in _candidate_subgroups(ctx, m * ctx.exponent, include_cyclic):
+            dims = _fix_dims(ctx, h, m, js)
+            if not any(dims.values()):
+                continue
+            h = h.std_position()
+            if h not in seen:
+                seen.add(h)
+                got.append([h, dims])
+        with ctx._lock:
+            got = ctx._pools.setdefault(key, got)
+    return got
+
+
 def _orbit_types_enum(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool):
-    pool, seen = {}, set()
-    for h in _candidate_subgroups(ctx, m * ctx.exponent, include_cyclic=include_non_phi0):
-        if not _fix_dim(ctx, h, m, j):
-            continue
-        h = h.std_position()
-        if h not in seen:
-            seen.add(h)
+    ctx.irrep(j)  # an unknown j is a KeyError here, as at m = 0
+    pool, dims = {}, {}
+    for entry in _goursat_pool(ctx, m, include_non_phi0):
+        h, dim = entry[0], entry[1][j]
+        if dim:
             t = ctx.intern(h)
+            entry[0] = t.rep  # later irreps find t at once, and h can go
             pool.setdefault(t.key, t)
-    dims = {key: fixed_dim_irrep(ctx, t, m, j) for key, t in pool.items()}
+            dims.setdefault(t.key, dim)
     return sorted(_isotropy_classes(pool.values(), lambda t: dims[t.key], lambda t: t.order,
                                     lambda t, u: leq(ctx, t, u)),
                   key=lambda t: (t.order, t.symbol))

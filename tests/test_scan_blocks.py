@@ -1,0 +1,210 @@
+"""The blocked conjugation scan and the per-context Goursat pool, against
+test-local copies of the one-conjugator-per-step scan and of the
+rebuild-per-irrep enumeration they replaced."""
+
+import importlib
+import math
+
+import numpy as np
+import pytest
+
+from equideg.groups import FiniteGroup
+from equideg.model_io import bundled_model, run_report
+from equideg.orbit_types import (
+    REF,
+    ROT,
+    AmbientContext,
+    _candidate_subgroups,
+    _containing_counts,
+    _isotropy_classes,
+    _normalizer_counts,
+    conjugate_in_g,
+    fixed_dim_irrep,
+    grid_arrays,
+    grid_member,
+    intersections,
+    leq,
+    orbit_types,
+)
+
+ot = importlib.import_module("equideg.orbit_types")
+
+
+# -- the one-conjugator-per-step scan ---------------------------------------------
+
+def _step_scan(h, M):
+    """(two_c, ticks, codes) for one O(2) conjugator at a time: ROT before
+    REF, two_c ascending, row g of codes the packed codes of
+    (x, g)^-1 h (x, g)."""
+    gamma = h.gamma
+    inv_conj = np.array([gamma.conj_map[i] for i in gamma.inv], dtype=np.int64)
+    kinds, ticks, gammas, _ = grid_arrays(h, M)
+    kinds, ticks = kinds.astype(np.int64), ticks.astype(np.int64)
+    conj = inv_conj[:, gammas]
+    rot = kinds == ROT
+    for kind in (ROT, REF):
+        for two_c in range(M):
+            if kind == ROT:
+                o2 = np.where(rot, ticks, (ticks - two_c) % M)
+            else:
+                o2 = np.where(rot, (-ticks) % M, (two_c - ticks) % M)
+            yield two_c, o2, ((kinds * M + o2) * gamma.order)[None, :] + conj
+
+
+def _step_containing(h, k, grid_mult):
+    M = math.lcm(h.level, k.level) * grid_mult
+    inner = grid_member(h, M)
+    for two_c, _, codes in _step_scan(k, M):
+        yield two_c, codes[inner[codes].sum(axis=1) == h.order]
+
+
+def _step_containing_counts(h, k, grid_mult):
+    if h.order > k.order or k.order % h.order != 0:
+        return 0, 0
+    even, every = set(), set()
+    for two_c, rows in _step_containing(h, k, grid_mult):
+        for row in np.sort(rows, axis=1):
+            every.add(row.tobytes())
+            if two_c % 2 == 0:
+                even.add(row.tobytes())
+    return len(even), len(every)
+
+
+def _step_normalizer_counts(h, grid_mult):
+    even = every = 0
+    for two_c, rows in _step_containing(h, h, grid_mult):
+        every += len(rows)
+        if two_c % 2 == 0:
+            even += len(rows)
+    return 2 * even, 2 * every
+
+
+def _step_conjugate_in_g(h1, h2):
+    if (h1.order, h1.rot_order, len(h1.axes)) != (h2.order, h2.rot_order, len(h2.axes)):
+        return False
+    return any(rows.size for _, rows in _step_containing(h1, h2, 1))
+
+
+def _step_intersections(a, b):
+    M = math.lcm(a.level, b.level)
+    kinds, _, _, elems = grid_arrays(a, M)
+    in_b = grid_member(b, M)
+    b_axis = in_b.reshape(2, M, -1)[REF].any(axis=1)
+    refl = kinds == REF
+    seen, out = set(), []
+    for _, o2, codes in _step_scan(a, M):
+        if not b_axis[o2[refl]].any():
+            continue
+        present = in_b[codes]
+        for mask in present[(present.sum(axis=1) > 1) & present[:, refl].any(axis=1)]:
+            if mask.tobytes() not in seen:
+                seen.add(mask.tobytes())
+                out.append(frozenset(elems[i] for i in np.nonzero(mask)[0]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def finite_types():
+    """Every finite m = 1 orbit type of a fresh six-membranes model, the
+    cyclic-projection ones included."""
+    ctx = bundled_model().ctx
+    types = {}
+    for j in ctx.active_js():
+        for t in orbit_types(ctx, 1, j, include_non_phi0=True):
+            if t.is_finite:
+                types[t.key] = t.rep
+    return list(types.values())
+
+
+@pytest.mark.parametrize("block", [None, 500], ids=["default-block", "split-blocks"])
+def test_blocked_scan_matches_step_scan(finite_types, block, monkeypatch):
+    if block is not None:
+        # blocks of a few steps for the smallest groups and of one step
+        # otherwise, and hit chunks that split the hits of one block
+        monkeypatch.setattr(ot, "SCAN_BLOCK", block)
+    assert any(h.rot_order and not h.axes for h in finite_types)
+    assert max(h.order for h in finite_types) * finite_types[0].gamma.order > 500
+    pairs = contained = 0
+    for h in finite_types:
+        for grid_mult in (1, 2):
+            assert _normalizer_counts(h, grid_mult) == _step_normalizer_counts(h, grid_mult)
+        for k in finite_types:
+            assert conjugate_in_g(h, k) == _step_conjugate_in_g(h, k)
+            assert list(intersections(h, k)) == _step_intersections(h, k)
+            for grid_mult in (1, 2):
+                got = _containing_counts(h, k, grid_mult)
+                assert got == _step_containing_counts(h, k, grid_mult)
+                contained += got[1] > 0
+            pairs += 1
+    assert pairs == len(finite_types) ** 2 and contained > len(finite_types)
+
+
+# -- the rebuild-per-irrep enumeration ------------------------------------------
+
+def _char_fix_dim(ctx, h, j):
+    """dim (W_1 (x) V_j^-)^h by the character sum over h's rotations."""
+    chars = ctx.irrep(j).chars
+    tot = sum(2.0 * np.cos(2 * np.pi * t / h.level) * chars[g]
+              for kind, t, g in h.elems if kind == ROT)
+    return round(tot / h.order)
+
+
+def _rebuilt_enum(ctx, j, include_non_phi0):
+    """The m = 1 orbit types of irrep j, rebuilding the Goursat candidates."""
+    pool, seen = {}, set()
+    for h in _candidate_subgroups(ctx, ctx.exponent, include_cyclic=include_non_phi0):
+        if not _char_fix_dim(ctx, h, j):
+            continue
+        h = h.std_position()
+        if h not in seen:
+            seen.add(h)
+            t = ctx.intern(h)
+            pool.setdefault(t.key, t)
+    dims = {key: fixed_dim_irrep(ctx, t, 1, j) for key, t in pool.items()}
+    return sorted(_isotropy_classes(pool.values(), lambda t: dims[t.key], lambda t: t.order,
+                                    lambda t, u: leq(ctx, t, u)),
+                  key=lambda t: (t.order, t.symbol))
+
+
+@pytest.mark.parametrize("include_non_phi0", [False, True])
+def test_pooled_enumeration_matches_rebuild(ctx, include_non_phi0):
+    pooled = AmbientContext(ctx.gamma, ctx.irreps, ctx.class_names)
+    rebuilt = AmbientContext(ctx.gamma, ctx.irreps, ctx.class_names)
+    for j in ctx.active_js():
+        got = [(t.key, t.symbol) for t in orbit_types(pooled, 1, j, include_non_phi0)]
+        want = [(t.key, t.symbol) for t in _rebuilt_enum(rebuilt, j, include_non_phi0)]
+        assert got == want, j
+    # the same types, interned in the same order, so every ~N suffix agrees
+    assert [t.symbol for t in pooled._types] == [t.symbol for t in rebuilt._types]
+    assert any("~" in t.symbol for t in pooled._types)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_unknown_irrep_is_a_key_error(ctx, m):
+    fresh = AmbientContext(ctx.gamma, ctx.irreps, ctx.class_names)
+    for c in (fresh, ctx):  # without and with a Goursat pool in place
+        with pytest.raises(KeyError) as err:
+            orbit_types(c, m, 99)
+        assert err.value.args == ("no irreducible representation labelled 99",)
+
+
+def test_cold_report_work_counts(monkeypatch):
+    """One Goursat pool per context and one normality test per subgroup
+    pair: a cold report builds each candidate once (2,050 of them) and
+    conjugates far fewer Gamma' masks than one pool per irrep did (6,150
+    candidates and 39,228 conjugations)."""
+    model = bundled_model()
+    counts = {"build": 0, "conjugate_mask": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ot, "_build_candidate", counting("build", ot._build_candidate))
+    monkeypatch.setattr(FiniteGroup, "conjugate_mask",
+                        counting("conjugate_mask", FiniteGroup.conjugate_mask))
+    run_report(model)
+    assert 0 < counts["build"] <= 2100
+    assert 0 < counts["conjugate_mask"] <= 14000
