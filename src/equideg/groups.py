@@ -175,10 +175,8 @@ class FiniteGroup:
         self._subgroup_classes: Optional[list["SubgroupClass"]] = None
         self._mask_class: Optional[dict[int, int]] = None
         self._element_classes: Optional[list[list[int]]] = None
+        self._class_of_element: list[int] = []
         self._class_weyl: dict[int, int] = {}
-        # numpy copy of conj_map[inv[g]], built by the first conjugation scan
-        # (orbit_types) so that importing this module does not need numpy
-        self.inv_conj_np = None
 
     # -- element level -------------------------------------------------------
 
@@ -203,15 +201,18 @@ class FiniteGroup:
                         seen[y] = True
                     classes.append(orbit)
                 classes.sort(key=lambda c: (self.element_order(c[0]), len(c), c[0]))
+                class_of = [0] * self.order
+                for k, cls in enumerate(classes):
+                    for y in cls:
+                        class_of[y] = k
+                self._class_of_element = class_of
                 self._element_classes = classes
             return self._element_classes
 
     def element_class_index(self, x: int) -> int:
-        classes = self.conjugacy_classes()
-        for k, cls in enumerate(classes):
-            if x in cls:
-                return k
-        raise KeyError(x)
+        if not self._class_of_element:
+            self.conjugacy_classes()
+        return self._class_of_element[x]
 
     # -- subgroup level (bitmask representation) -------------------------------
 

@@ -7,14 +7,15 @@ H's angles.  (ROT, t, g) is the rotation by t / L turns paired with gamma
 element g, and (REF, t, g) is the reflection kappa_a : z -> exp(2*pi*i*a) *
 conj(z), a = t / L, paired with g.  All conjugacy questions about
 O(2) x Gamma' reduce to scans over a finite grid of axis offsets, which is
-the truncation D_N x Gamma' of the ambient group.  conjugate_scan is the one
-primitive that walks that grid, in blocks of conjugators of a bounded number
-of packed codes; containment, conjugacy, normalizer counts and intersections
-are one numpy row test per block.  Containment scans the smaller group's
-conjugates against the larger one, and builds conjugates of the larger one
-only for the hits.  Counting queries read one doubled scan whose even ticks
-are the base grid, and a count that differs between the two is an error.
-Exact Fractions appear only at the API boundary (the conjugator of
+the truncation D_N x Gamma' of the ambient group.  A scan against k reads
+k's row-bit table at its own level: entry [c, v] has bit r set when
+r^-1 v r at O(2) code c lies in k, and one zero entry takes the codes off
+k's grid.  The AND of one entry per element of the scanned group settles
+all |Gamma'| rows of a step, and the entries' bits are the membership rows of
+intersections.  An exact necessary test runs before every scan.  n(H, K) is
+|{x : x H x^-1 <= K}| / |N(K)| on the grid; one doubled scan gives it on
+the base grid (even steps) and the doubled one, which must agree.  Exact
+Fractions appear only at the API boundary (the conjugator of
 SubgroupG.conjugate, the angles elements_of returns).  The enumeration
 builds the Goursat candidates once per context, with their fixed-space
 dimensions in every irrep, and decides isotropy exactly, from those integer
@@ -85,7 +86,7 @@ class SubgroupG:
     """
 
     __slots__ = ("gamma", "elems", "level", "axes", "proj2_mask", "kern2_mask",
-                 "z1_rot_count", "z1_axes", "rot_order", "_hash", "_grids")
+                 "z1_rot_count", "z1_axes", "rot_order", "_hash", "_arrays", "_table", "_normal")
 
     def __init__(self, gamma: FiniteGroup, elems: Iterable[tuple], level: int):
         elems = frozenset(elems)
@@ -125,7 +126,10 @@ class SubgroupG:
         self.z1_axes = frozenset(z1a)
         self.rot_order = len(rot)
         self._hash = hash(elems)
-        self._grids: dict = {}
+        # scan memos: grid_arrays, _row_table, _normalizer_hits per grid
+        self._arrays = None
+        self._table = None
+        self._normal: dict[int, tuple[int, int]] = {}
 
     @property
     def order(self) -> int:
@@ -182,13 +186,12 @@ class SubgroupG:
         return f"SubgroupG(order={self.order}, rot={self.rot_order}, axes={len(self.axes)})"
 
 
-def conjugate_in_g(h1: SubgroupG, h2: SubgroupG) -> bool:
-    """Whether two std-position subgroups are conjugate in O(2) x Gamma'."""
-    if h1.order != h2.order or h1.rot_order != h2.rot_order:
+def conjugate_in_g(h: SubgroupG, rep: SubgroupG) -> bool:
+    """Whether two std-position subgroups are conjugate in O(2) x Gamma'.  The
+    scan runs against rep's row table, so rep should be the long-lived one."""
+    if h.order != rep.order or h.rot_order != rep.rot_order or len(h.axes) != len(rep.axes):
         return False
-    if len(h1.axes) != len(h2.axes):
-        return False
-    return any(g.size for _, g in _containing_scan(h1, h2, 1))
+    return _subconjugate(h, rep)
 
 
 @dataclass(frozen=True)
@@ -300,7 +303,7 @@ class AmbientContext:
         with self._lock:
             for key in self._by_fingerprint.get(fp, ()):
                 t = self._types[key]
-                if t.rep is not None and conjugate_in_g(t.rep, h):
+                if t.rep is not None and conjugate_in_g(h, t.rep):
                     return t
             base = self._base_symbol(h)
             count = self._symbol_counts.get(base, 0)
@@ -393,107 +396,108 @@ def elements_of(ctx: AmbientContext, t: OrbitType, axis_offset: Fraction = Fract
 def grid_arrays(h: SubgroupG, M: int):
     """(kinds, ticks, gammas, sorted elements) with angles as integers over
     1/M, for a multiple M of h.level."""
-    got = h._grids.get(M)
-    if got is None:
+    if h._arrays is None:
         elems = sorted(h.elems)
-        kinds = np.array([e[0] for e in elems], dtype=np.int32)
-        ticks = np.array([e[1] for e in elems], dtype=np.int32) * (M // h.level)
-        gammas = np.array([e[2] for e in elems], dtype=np.int32)
-        got = (kinds, ticks, gammas, elems)
-        h._grids[M] = got
-    return got
+        h._arrays = tuple(np.array([e[i] for e in elems], dtype=np.int32)
+                          for i in range(3)) + (elems,)
+    kinds, ticks, gammas, elems = h._arrays
+    return kinds, ticks * (M // h.level), gammas, elems
 
 
-def grid_member(h: SubgroupG, M: int) -> np.ndarray:
-    """Boolean lookup over the packed codes ((kind*M + tick)*|Gamma'| + gamma)
-    of the grid 1/M, True on the codes of h."""
+def _inv_conj(gamma: FiniteGroup) -> np.ndarray:
+    """[r, v] = r^-1 v r: the Gamma' part of conjugating by row r."""
+    return np.array([gamma.conj_map[i] for i in gamma.inv], dtype=np.int64)
+
+
+def _row_table(k: SubgroupG) -> np.ndarray:
+    """k's row-bit table at its own level L, shaped (2L + 1, |Gamma'|, bytes).
+
+    Bit r of entry [c, v] (bit r % 8 of byte r // 8) is set when row r maps
+    Gamma' element v into k at the O(2) code c = kind * L + tick, that is
+    when (c, r^-1 v r) is in k.  Entry 2L, for the codes off k's grid, is
+    zero.  Built once per subgroup."""
+    if k._table is None:
+        L, n = k.level, k.gamma.order
+        kinds, ticks, gammas, _ = grid_arrays(k, L)
+        member = np.zeros((2 * L + 1, n), dtype=bool)
+        member[kinds * L + ticks, gammas] = True
+        k._table = np.packbits(member[:, _inv_conj(k.gamma)].transpose(0, 2, 1),
+                               axis=2, bitorder="little")
+    return k._table
+
+
+# the scans' block size, in gathered table bytes
+SCAN_BLOCK = 1 << 16
+
+
+def _table_scan(h: SubgroupG, k: SubgroupG, M: int):
+    """(step, entries) for blocks of about SCAN_BLOCK bytes (at least one step)
+    of the grid 1/M, a multiple of both levels: entries[i, e] is k's table entry
+    for element e of h conjugated by the O(2) part x of step[i], so its bit r
+    is set when (x, r)^-1 e (x, r) lies in k.  Step two_c is x = (ROT, c) and
+    step M + two_c is x = (REF, c), two_c = 2cM in [0, M); c and c + 1/2 act
+    alike, so steps and rows meet every grid conjugator once up to the
+    order-2 kernel of the conjugation action."""
+    table = _row_table(k)
     kinds, ticks, gammas, _ = grid_arrays(h, M)
-    member = np.zeros(2 * M * h.gamma.order, dtype=bool)
-    member[(kinds * M + ticks) * h.gamma.order + gammas] = True
-    return member
-
-
-# conjugate_scan's block size, in packed codes
-SCAN_BLOCK = 1 << 14
-
-
-def conjugate_codes(h: SubgroupG, M: int, step: np.ndarray, g: Optional[np.ndarray] = None):
-    """(ticks, codes) of the conjugates (x, g)^-1 h (x, g) over the grid 1/M.
-
-    Step two_c is x = (ROT, c) and step M + two_c is x = (REF, c), with
-    two_c = 2cM in [0, M); c and c + 1/2 act identically, so the 2M steps meet
-    every conjugator of the grid group once up to the order-2 kernel of the
-    conjugation action.  ticks (steps, |h|) holds the O(2) angles of x^-1 h x
-    in grid_arrays order; codes holds the packed codes, shaped (steps,
-    |Gamma'|, |h|) with one row per g, or (steps, |h|) for the pairs
-    (step[i], g[i]) when g is given.
-    """
-    gamma = h.gamma
-    if gamma.inv_conj_np is None:
-        gamma.inv_conj_np = np.array([gamma.conj_map[i] for i in gamma.inv], dtype=np.int32)
-    kinds, ticks, gammas, _ = grid_arrays(h, M)
-    # ROT keeps rotations and maps axis t to t - two_c; REF negates both
-    sign = np.where(step < M, np.int32(1), np.int32(-1))[:, None]
-    o2 = (sign * (ticks - (step % M)[:, None] * (kinds == REF))) % M
-    base = (kinds * M + o2) * gamma.order
-    if g is None:
-        return o2, base[:, None, :] + gamma.inv_conj_np[:, gammas]
-    return o2, base + gamma.inv_conj_np[g[:, None], gammas]
-
-
-def conjugate_scan(h: SubgroupG, M: int):
-    """Every conjugate of h over the angle grid 1/M, as (step, ticks, codes)
-    of conjugate_codes for blocks of consecutive steps (ROT before REF, two_c
-    ascending, rows by g) of about SCAN_BLOCK codes, at least one step each.
-    Forward conjugation by (kind, c, g) is the step of (ROT, -c) or (REF, c)
-    at row g^-1."""
-    per_block = max(1, SCAN_BLOCK // (h.gamma.order * h.order))
+    L, q = k.level, M // k.level
+    per_block = max(1, SCAN_BLOCK // (h.order * table.shape[2]))
     for s0 in range(0, 2 * M, per_block):
-        step = np.arange(s0, min(s0 + per_block, 2 * M), dtype=np.int32)
-        yield (step, *conjugate_codes(h, M, step))
+        step = np.arange(s0, min(s0 + per_block, 2 * M))
+        # ROT keeps rotations and maps axis t to t - two_c; REF negates both
+        sign = np.where(step < M, 1, -1)[:, None]
+        o2 = (sign * (ticks - (step % M)[:, None] * kinds)) % M
+        yield step, table[np.where(o2 % q == 0, kinds * L + o2 // q, 2 * L), gammas]
 
 
-def _containing_scan(h: SubgroupG, k: SubgroupG, grid_mult: int):
-    """(step, g) per block: the conjugators (x, g) of the grid lcm(levels) *
-    grid_mult with h inside (x, g)^-1 k (x, g), that is (x, g) h (x, g)^-1
-    inside k; h is no larger than k, so the scan runs over h's conjugates."""
-    M = math.lcm(h.level, k.level) * grid_mult
-    in_k = grid_member(k, M)
-    inv = np.asarray(h.gamma.inv)
-    for step, _, codes in conjugate_scan(h, M):
-        s, r = np.nonzero(in_k[codes].all(axis=2))
-        # a hit (x, r) is the inverse of the conjugator sought: x^-1 is the
-        # step of -two_c for ROT and x itself for REF
-        step = step[s]
-        yield np.where(step < M, (M - step) % M, step), inv[r]
+def _containing_scan(h: SubgroupG, k: SubgroupG, M: int):
+    """(step, hits) per block of the grid 1/M: bit r of hits[i] is set when
+    the conjugator (x, r) of step[i] has (x, r)^-1 h (x, r) <= k."""
+    for step, entries in _table_scan(h, k, M):
+        yield step, np.bitwise_and.reduce(entries, axis=1)
 
 
-def _distinct_rows(rows: np.ndarray) -> set:
-    """The rows of a 2-D array, each as bytes."""
-    buf, w = rows.tobytes(), rows.shape[1] * rows.itemsize
-    return {buf[i:i + w] for i in range(0, len(buf), w)}
+def _may_contain(h: SubgroupG, k: SubgroupG) -> bool:
+    """Exact necessary test for some conjugate of h inside k.  Conjugation
+    keeps the Gamma'-projection and the Gamma'-kernel up to Gamma'-conjugacy,
+    maps the rotations and the Z1 rotations (those over the Gamma' identity)
+    onto themselves, and reflections to reflections."""
+    gamma = h.gamma
+    cls = gamma.subgroup_class_of
+    return (k.order % h.order == 0 and k.rot_order % h.rot_order == 0
+            and k.z1_rot_count % h.z1_rot_count == 0
+            and (bool(k.axes) or not h.axes) and (bool(k.z1_axes) or not h.z1_axes)
+            and _gamma_mask_leq_class(gamma, h.proj2_mask, cls(k.proj2_mask))
+            and _gamma_mask_leq_class(gamma, h.kern2_mask, cls(k.kern2_mask)))
+
+
+def _subconjugate(h: SubgroupG, k: SubgroupG) -> bool:
+    """Some grid conjugate of h lies inside k (builds k's row table)."""
+    return _may_contain(h, k) and any(
+        hits.any() for _, hits in _containing_scan(h, k, math.lcm(h.level, k.level)))
 
 
 def intersections(a: SubgroupG, b: SubgroupG):
     """Distinct intersections of a with the grid conjugates of b, as element
-    sets of a (ticks over a.level), in scan order.  Only intersections holding
-    a reflection can have a finite Weyl group, so the others are skipped, as is
-    every conjugator that maps no reflection axis of a onto one of b."""
+    sets of a (ticks over a.level), in scan order: steps, then rows.  Only
+    intersections holding a reflection can have a finite Weyl group, so the
+    others are skipped."""
     M = math.lcm(a.level, b.level)
     kinds, _, _, elems = grid_arrays(a, M)
-    in_b = grid_member(b, M)
-    b_axis = in_b.reshape(2, M, -1)[REF].any(axis=1)
     refl = kinds == REF
     seen = set()
-    for _, o2, codes in conjugate_scan(a, M):
-        present = in_b[codes[b_axis[o2[:, refl]].any(axis=1)]].reshape(-1, len(elems))
-        present = present[(np.count_nonzero(present, axis=1) > 1) & present[:, refl].any(axis=1)]
-        buf, w = present.tobytes(), len(elems)
-        for i in range(len(present)):
+    for _, entries in _table_scan(a, b, M):
+        # the (step, row) pairs that map some reflection of a into b
+        s, r = np.nonzero(np.unpackbits(np.bitwise_or.reduce(entries[:, refl], axis=1), axis=1,
+                                        count=a.gamma.order, bitorder="little"))
+        rows = (entries[s, :, r >> 3] >> (r & 7)[:, None].astype(np.uint8)) & 1
+        rows = rows[np.count_nonzero(rows, axis=1) > 1]
+        buf, w = np.packbits(rows, axis=1).tobytes(), -(-len(elems) // 8)
+        for i in range(len(rows)):
             key = buf[i * w:(i + 1) * w]
             if key not in seen:
                 seen.add(key)
-                yield frozenset(elems[x] for x in np.nonzero(present[i])[0])
+                yield frozenset(elems[x] for x in np.nonzero(rows[i])[0])
 
 
 # -- partial order, counts, Weyl groups --------------------------------------------
@@ -506,12 +510,11 @@ def leq(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> bool:
     if cached is not None:
         return cached
     if k.kind == "o2":
-        got = _gamma_mask_leq_class(ctx, _gamma_mask(ctx, h), k.k2_class)
+        got = _gamma_mask_leq_class(ctx.gamma, _gamma_mask(ctx, h), k.k2_class)
     elif h.kind == "o2":
         got = False
     else:
-        got = (h.order <= k.order and k.order % h.order == 0
-               and any(g.size for _, g in _containing_scan(h.rep, k.rep, 1)))
+        got = _subconjugate(h.rep, k.rep)
     with ctx._lock:
         ctx._leq_cache[(h.key, k.key)] = got
     return got
@@ -524,11 +527,8 @@ def _gamma_mask(ctx: AmbientContext, t: OrbitType) -> int:
     return t.rep.proj2_mask
 
 
-def _gamma_mask_leq_class(ctx: AmbientContext, mask: int, c2: int) -> bool:
-    for m2 in ctx.gamma.subgroup_classes()[c2].members:
-        if (mask & ~m2) == 0:
-            return True
-    return False
+def _gamma_mask_leq_class(gamma: FiniteGroup, mask: int, c2: int) -> bool:
+    return any((mask & ~m2) == 0 for m2 in gamma.subgroup_classes()[c2].members)
 
 
 def n_amalgam(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> int:
@@ -553,22 +553,39 @@ def n_amalgam(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> int:
     return got
 
 
+def _hit_counts(h: SubgroupG, k: SubgroupG, M: int) -> tuple[int, int]:
+    """Conjugators (x, r) of the grid 1/M, on even steps and on all, mapping h into k."""
+    even = every = 0
+    for step, hits in _containing_scan(h, k, M):
+        count = np.bitwise_count(hits).sum(axis=1)
+        every += int(count.sum())
+        even += int(count[step % M % 2 == 0].sum())
+    return even, every
+
+
+def _normalizer_hits(k: SubgroupG, M: int) -> tuple[int, int]:
+    """_hit_counts of k into itself on the grid 1/M, memoized per M."""
+    if M not in k._normal:
+        k._normal[M] = _hit_counts(k, k, M)
+    return k._normal[M]
+
+
 def _containing_counts(h: SubgroupG, k: SubgroupG, grid_mult: int) -> tuple[int, int]:
     """Distinct conjugates of k containing h, over the conjugators of the even
     steps and of all steps of one scan; at grid_mult 2 these are the counts on
-    the base grid and on the doubled grid."""
-    if h.order > k.order or k.order % h.order != 0:
+    the base grid and on the doubled grid.  y^-1 k y = z^-1 k z exactly when
+    y z^-1 normalizes k, so each count is the conjugators that map h into k
+    over those that map k onto itself, and a remainder is an error."""
+    if not _may_contain(h, k):
         return 0, 0
     M = math.lcm(h.level, k.level) * grid_mult
-    even, every = set(), set()
-    per_block = max(1, SCAN_BLOCK // k.order)  # hits whose conjugates fill a block
-    for steps, gs in _containing_scan(h, k, grid_mult):
-        for i in range(0, len(steps), per_block):
-            step, g = steps[i:i + per_block], gs[i:i + per_block]
-            rows = np.sort(conjugate_codes(k, M, step, g)[1], axis=1)
-            every |= _distinct_rows(rows)
-            even |= _distinct_rows(rows[step % M % 2 == 0])
-    return len(even), len(every)
+    hits = _hit_counts(h, k, M)
+    if not hits[1]:
+        return 0, 0
+    normal = _normalizer_hits(k, M)
+    if hits[0] % normal[0] or hits[1] % normal[1]:
+        raise NonIntegralWeyl(f"{hits} conjugators into k, {normal} normalizing it")
+    return hits[0] // normal[0], hits[1] // normal[1]
 
 
 def _count_containing(h: SubgroupG, k: SubgroupG, grid_mult: int) -> int:
@@ -602,15 +619,11 @@ def _normalizer_counts(h: SubgroupG, grid_mult: int) -> tuple[int, int]:
     """Size of the normalizer intersected with the alignment grid, over the
     conjugators of the even steps and of all steps of one scan.
 
-    Each hit of the scan accounts for two conjugators (see conjugate_codes),
+    Each hit of the scan accounts for two conjugators (see _table_scan),
     which matches |N(H)| because the kernel of the conjugation action has
     order 2.
     """
-    M = h.level * grid_mult
-    even = every = 0
-    for step, _ in _containing_scan(h, h, grid_mult):
-        every += len(step)
-        even += np.count_nonzero(step % M % 2 == 0)
+    even, every = _normalizer_hits(h, h.level * grid_mult)
     return 2 * even, 2 * every
 
 
@@ -940,7 +953,7 @@ def _orbit_types_m0(ctx: AmbientContext, j: int):
     dims = [_class_fix_dim(ctx, c, j) for c in range(len(classes))]
     kept = _isotropy_classes(
         range(len(classes)), dims.__getitem__, lambda c: classes[c].order,
-        lambda c, u: _gamma_mask_leq_class(ctx, classes[c].representative.mask, u))
+        lambda c, u: _gamma_mask_leq_class(ctx.gamma, classes[c].representative.mask, u))
     return [ctx.intern_o2(c) for c in kept]
 
 

@@ -438,3 +438,16 @@ def test_ambient_weyl_order_rejects_non_multiple_normalizer(ctx, monkeypatch):
     monkeypatch.setattr(ot, "_normalizer_counts", lambda h, mult: (h.order + 2,) * 2)
     with pytest.raises(NonIntegralWeyl):
         ambient_weyl_order(fresh, t)
+
+
+def test_n_amalgam_rejects_non_multiple_normalizer(ctx, monkeypatch):
+    # n(H, K) is the conjugator count over the normalizer hits of K, which
+    # must divide it exactly
+    ot = importlib.import_module("equideg.orbit_types")
+    fresh = AmbientContext(ctx.gamma, ctx.irreps, ctx.class_names)
+    h = fresh.intern(parse_symbol(ctx, "(D2^D1 x^D4 D4p)").rep)
+    k = fold(fresh, h, 3)
+    assert leq(fresh, h, k)
+    monkeypatch.setattr(ot, "_normalizer_hits", lambda k, M: (10007, 10007))
+    with pytest.raises(NonIntegralWeyl):
+        n_amalgam(fresh, h, k)

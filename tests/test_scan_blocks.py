@@ -1,7 +1,8 @@
-"""The blocked conjugation scan and the per-context Goursat pool, against
-test-local copies of the one-conjugator-per-step scan and of the
-rebuild-per-irrep enumeration they replaced."""
+"""The blocked row-bit-table scan and the per-context Goursat pool, against
+test-local copies of the one-conjugator-per-step scan of packed codes and of
+the rebuild-per-irrep enumeration they replaced."""
 
+import functools
 import importlib
 import math
 
@@ -9,28 +10,40 @@ import numpy as np
 import pytest
 
 from equideg.groups import FiniteGroup
-from equideg.model_io import bundled_model, run_report
+from equideg.model_io import bundled_model, load_model, run_report
 from equideg.orbit_types import (
     REF,
     ROT,
     AmbientContext,
+    SubgroupG,
     _candidate_subgroups,
     _containing_counts,
     _isotropy_classes,
+    _may_contain,
     _normalizer_counts,
     conjugate_in_g,
     fixed_dim_irrep,
     grid_arrays,
-    grid_member,
     intersections,
     leq,
     orbit_types,
 )
 
+from test_generality import TRIANGLE
+
 ot = importlib.import_module("equideg.orbit_types")
 
 
 # -- the one-conjugator-per-step scan ---------------------------------------------
+
+def grid_member(h, M):
+    """Boolean lookup over the packed codes ((kind*M + tick)*|Gamma'| + gamma)
+    of the grid 1/M, True on the codes of h."""
+    kinds, ticks, gammas, _ = grid_arrays(h, M)
+    member = np.zeros(2 * M * h.gamma.order, dtype=bool)
+    member[(kinds * M + ticks) * h.gamma.order + gammas] = True
+    return member
+
 
 def _step_scan(h, M):
     """(two_c, ticks, codes) for one O(2) conjugator at a time: ROT before
@@ -103,32 +116,44 @@ def _step_intersections(a, b):
     return out
 
 
-@pytest.fixture(scope="module")
-def finite_types():
-    """Every finite m = 1 orbit type of a fresh six-membranes model, the
-    cyclic-projection ones included."""
-    ctx = bundled_model().ctx
+@functools.lru_cache(maxsize=None)
+def finite_types(which):
+    """Every finite m = 1 and m = 2 orbit type of a fresh six-membranes or
+    triangle model, the cyclic-projection ones included.  Mixed levels give
+    grids that are proper multiples of a table's level."""
+    ctx = (bundled_model() if which == "six" else load_model(TRIANGLE)).ctx
     types = {}
-    for j in ctx.active_js():
-        for t in orbit_types(ctx, 1, j, include_non_phi0=True):
-            if t.is_finite:
-                types[t.key] = t.rep
+    for m in (1, 2):
+        for j in ctx.active_js():
+            for t in orbit_types(ctx, m, j, include_non_phi0=True):
+                if t.is_finite:
+                    types[t.key] = t.rep
     return list(types.values())
 
 
-@pytest.mark.parametrize("block", [None, 500], ids=["default-block", "split-blocks"])
-def test_blocked_scan_matches_step_scan(finite_types, block, monkeypatch):
+def _fresh(types):
+    """Copies of the subgroups without their memoized tables and counts."""
+    return [SubgroupG(h.gamma, h.elems, h.level) for h in types]
+
+
+@pytest.mark.parametrize("which, block", [
+    ("six", None), ("six", 500), ("triangle", None), ("triangle", 8),
+], ids=["default-block", "split-blocks", "triangle", "triangle-split-blocks"])
+def test_blocked_scan_matches_step_scan(which, block, monkeypatch):
     if block is not None:
         # blocks of a few steps for the smallest groups and of one step
-        # otherwise, and hit chunks that split the hits of one block
+        # otherwise
         monkeypatch.setattr(ot, "SCAN_BLOCK", block)
-    assert any(h.rot_order and not h.axes for h in finite_types)
-    assert max(h.order for h in finite_types) * finite_types[0].gamma.order > 500
+    types = _fresh(finite_types(which))
+    # some scan runs over several blocks, and some over a cyclic group
+    assert block is None or any(2 * h.level > block // h.order for h in types)
+    assert any(h.rot_order and not h.axes for h in types)
+    assert {2 * h.level for h in types} & {h.level for h in types}
     pairs = contained = 0
-    for h in finite_types:
+    for h in types:
         for grid_mult in (1, 2):
             assert _normalizer_counts(h, grid_mult) == _step_normalizer_counts(h, grid_mult)
-        for k in finite_types:
+        for k in types:
             assert conjugate_in_g(h, k) == _step_conjugate_in_g(h, k)
             assert list(intersections(h, k)) == _step_intersections(h, k)
             for grid_mult in (1, 2):
@@ -136,7 +161,21 @@ def test_blocked_scan_matches_step_scan(finite_types, block, monkeypatch):
                 assert got == _step_containing_counts(h, k, grid_mult)
                 contained += got[1] > 0
             pairs += 1
-    assert pairs == len(finite_types) ** 2 and contained > len(finite_types)
+    assert pairs == len(types) ** 2 and contained > len(types)
+
+
+@pytest.mark.parametrize("which", ["six", "triangle"])
+def test_containment_pretest_is_sound(which):
+    """_may_contain, the exact necessary test in front of every scan, is
+    never False where the step scan finds h inside a conjugate of k."""
+    types = finite_types(which)
+    contained = 0
+    for h in types:
+        for k in types:
+            if any(rows.size for _, rows in _step_containing(h, k, 1)):
+                assert _may_contain(h, k), (h, k)
+                contained += 1
+    assert contained > len(types)
 
 
 # -- the rebuild-per-irrep enumeration ------------------------------------------
@@ -208,3 +247,20 @@ def test_cold_report_work_counts(monkeypatch):
     run_report(model)
     assert 0 < counts["build"] <= 2100
     assert 0 < counts["conjugate_mask"] <= 14000
+
+
+def test_cold_report_scan_count(monkeypatch):
+    """The necessary test in front of leq, conjugate_in_g and the counts
+    skips most hopeless scans: a cold report runs at most 2,400 containment
+    scans (3,889 without it)."""
+    model = bundled_model()
+    calls = []
+    scan = ot._containing_scan
+
+    def counting(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(ot, "_containing_scan", counting)
+    run_report(model)
+    assert 0 < len(calls) <= 2400
