@@ -10,13 +10,13 @@ the product value.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .burnside import BurnsideElement
 from .degrees import basic_degree
 from .errors import CrossCheckMismatch, NotIsolated
+from .groups import memoized
 from .orbit_types import (
     AmbientContext,
     OrbitType,
@@ -46,8 +46,6 @@ class BifurcationProblem:
         self.mode = mode
         self.k_fixed = k_fixed
         self.alpha_bracket = alpha_bracket
-        self._rho_cache: dict = {}
-        self._rho_lock = threading.Lock()
 
     # -- index bookkeeping -------------------------------------------------------
 
@@ -87,16 +85,7 @@ class BifurcationProblem:
         return sorted(k for k, v in counts.items() if v % 2)
 
     def rho(self, triples) -> BurnsideElement:
-        key = tuple(self.reduced_factors(triples))
-        with self._rho_lock:
-            got = self._rho_cache.get(key)
-        if got is None:
-            got = BurnsideElement.unit(self.ctx)
-            for m, j in key:
-                got = got * basic_degree(self.ctx, m, j).value
-            with self._rho_lock:
-                self._rho_cache[key] = got
-        return got
+        return degree_product(self.ctx, tuple(self.reduced_factors(triples)))
 
     def maximal_pool(self) -> list[OrbitType]:
         out = []
@@ -105,6 +94,15 @@ class BifurcationProblem:
                 if all(t.key != u.key for u in out):
                     out.append(t)
         return out
+
+
+@memoized
+def degree_product(ctx: AmbientContext, factors: tuple[tuple[int, int], ...]) -> BurnsideElement:
+    """Product of the basic degrees deg(W_m (x) V_j^-) over the (m, j) in factors."""
+    out = BurnsideElement.unit(ctx)
+    for m, j in factors:
+        out = out * basic_degree(ctx, m, j).value
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ product in the Burnside ring of the finite factor) comes from solve_marks,
 the triangular solve against the table of marks phi_L(U) = n(L, U) |W(U)|
 over the subconjugation order; containment counts and intersections are
 delegated to the orbit-type layer.  Generator products are memoized per
-canonical pair.
+unordered pair.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .errors import NonIntegralCoefficient
-from .groups import n_count
+from .groups import memoized, n_count
 from .orbit_types import (
     AmbientContext,
     OrbitType,
@@ -142,25 +142,21 @@ def coeff(a: BurnsideElement, t: OrbitType) -> int:
 
 # -- generator products ----------------------------------------------------------------
 
+# one query per unordered pair, computed in the first caller's order, which
+# fixes the order in which new product types (and their ~N suffixes) appear
+@memoized(key=lambda a, b: (a, b) if a.key <= b.key else (b, a))
 def generator_product(ctx: AmbientContext, a: OrbitType, b: OrbitType) -> dict[OrbitType, int]:
     if a is ctx.unit:
         return {b: 1}
     if b is ctx.unit:
         return {a: 1}
-    key = (a.key, b.key) if a.key <= b.key else (b.key, a.key)
-    got = ctx._generator_products.get(key)
-    if got is None:
-        if a.kind == "o2" and b.kind == "o2":
-            got = _product_o2_o2(ctx, a, b)
-        elif a.kind == "o2":
-            got = _product_mixed(ctx, b, a)
-        elif b.kind == "o2":
-            got = _product_mixed(ctx, a, b)
-        else:
-            got = _product_finite(ctx, a, b)
-        with ctx._lock:
-            ctx._generator_products[key] = got
-    return got
+    if a.kind == "o2" and b.kind == "o2":
+        return _product_o2_o2(ctx, a, b)
+    if a.kind == "o2":
+        return _product_mixed(ctx, b, a)
+    if b.kind == "o2":
+        return _product_mixed(ctx, a, b)
+    return _product_finite(ctx, a, b)
 
 
 # -- the table-of-marks solve ----------------------------------------------------------

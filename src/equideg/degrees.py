@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .burnside import BurnsideElement, solve_ambient_marks
 from .errors import CrossCheckMismatch
+from .groups import memoized
 from .orbit_types import (
     AmbientContext,
     IrrepLabel,
@@ -33,19 +34,14 @@ class BasicDegree:
     value: BurnsideElement
 
 
+@memoized
 def basic_degree(ctx: AmbientContext, m: int, j: int) -> BasicDegree:
     """deg of -id on B(W_m (x) V_j^-); frequency m >= 1 is folded from m = 1."""
-    got = ctx._basic_degrees.get((m, j))
-    if got is None:
-        if m <= 1:
-            value = _degree_recurrence(ctx, m, j, orbit_types(ctx, m, j))
-        else:
-            base = basic_degree(ctx, 1, j).value
-            value = fold_element(ctx, base, m)
-        got = BasicDegree(IrrepLabel.of(ctx, m, j), value)
-        with ctx._lock:
-            ctx._basic_degrees[(m, j)] = got
-    return got
+    if m <= 1:
+        value = _degree_recurrence(ctx, m, j, orbit_types(ctx, m, j))
+    else:
+        value = fold_element(ctx, basic_degree(ctx, 1, j).value, m)
+    return BasicDegree(IrrepLabel.of(ctx, m, j), value)
 
 
 def basic_degree_direct(ctx: AmbientContext, m: int, j: int) -> BasicDegree:

@@ -8,6 +8,8 @@ so brute force with bitmask arithmetic is both simple and fast enough.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import re
 import threading
 from dataclasses import dataclass, field
@@ -25,6 +27,34 @@ from .errors import (
 
 DEFAULT_CLOSURE_CAP = 10 ** 6
 DEFAULT_LATTICE_CAP = 10 ** 4
+
+
+def memoized(fn=None, *, key=None):
+    """Memoize a pure query fn(owner, *args) on its owner.
+
+    Results live in owner._memo[fn.__name__], one dict per function, under
+    args, or under key(*args) when several argument tuples are one query.  A
+    miss is computed outside owner._lock and stored under it with setdefault,
+    so the first stored result wins.  Keyword calls are bound to positions
+    first; memoized functions take no defaults.
+    """
+    if fn is None:
+        return functools.partial(memoized, key=key)
+    name, sig = fn.__name__, inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def cached(owner, *args, **kwargs):
+        if kwargs:
+            args = sig.bind(owner, *args, **kwargs).args[1:]
+        k = args if key is None else key(*args)
+        try:
+            return owner._memo[name][k]
+        except KeyError:
+            pass
+        got = fn(owner, *args)
+        with owner._lock:
+            return owner._memo.setdefault(name, {}).setdefault(k, got)
+    return cached
 
 
 class Permutation:
@@ -176,7 +206,7 @@ class FiniteGroup:
         self._mask_class: Optional[dict[int, int]] = None
         self._element_classes: Optional[list[list[int]]] = None
         self._class_of_element: list[int] = []
-        self._class_weyl: dict[int, int] = {}
+        self._memo: dict[str, dict] = {}
 
     # -- element level -------------------------------------------------------
 
@@ -322,13 +352,10 @@ class FiniteGroup:
                 out |= 1 << g
         return out
 
+    @memoized
     def class_weyl_order(self, ci: int) -> int:
-        """|W(H)| of the representative of subgroup class ci, memoized."""
-        got = self._class_weyl.get(ci)
-        if got is None:
-            got = weyl_order(self, self.subgroup_classes()[ci].representative)
-            self._class_weyl[ci] = got
-        return got
+        """|W(H)| of the representative of subgroup class ci."""
+        return weyl_order(self, self.subgroup_classes()[ci].representative)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(degree={self.degree}, order={self.order})"

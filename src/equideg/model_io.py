@@ -233,7 +233,11 @@ def _assemble(cfg: dict) -> Model:
 
     an = cfg.get("analysis", {})
     mode = an.get("mode", "relative")
-    k_fixed = bool(an.get("k_fixed", True))
+    k_fixed = an.get("k_fixed", True)
+    _require(isinstance(k_fixed, bool), "analysis.k_fixed must be true or false")
+    notes = cfg.get("notes", [])
+    _require(isinstance(notes, list) and all(isinstance(n, str) for n in notes),
+             "notes must be a list of strings")
     bracket = _number(an, "alpha_bracket", "analysis.alpha_bracket", 1.0)
     mults = {comp.j: comp.multiplicity for comp in components}
     problem = bif.BifurcationProblem(ctx, curves, bessel, mults, critical,
@@ -363,7 +367,7 @@ def run_report(model: Model, modes: Optional[Sequence[str]] = None) -> dict:
             "a": model.a,
             "mode": prob.mode,
             "k_fixed": prob.k_fixed,
-            "weyl_convention": model.ctx.weyl_mode,
+            "weyl_convention": "reduced",
         },
         "isotypic": [
             {"j": comp.j, "label": comp.label, "irrep_dim": comp.irrep_dim,

@@ -43,7 +43,7 @@ from .errors import (
     NonIntegralWeyl,
     StabilizationFailure,
 )
-from .groups import FiniteGroup, Subgroup, n_count
+from .groups import FiniteGroup, Subgroup, memoized, n_count
 
 ROT, REF = 0, 1
 
@@ -172,7 +172,7 @@ class SubgroupG:
                      for kind, t, g in self.elems)
         return (L, self.rot_order, len(self.axes), self.order,
                 gamma.subgroup_class_of(self.proj2_mask),
-                gamma.subgroup_class_of(gamma.closure_mask(self.kern2_mask | 1)),
+                gamma.subgroup_class_of(self.kern2_mask),
                 self.z1_rot_count, len(self.z1_axes), tuple(sig))
 
     def __eq__(self, other) -> bool:
@@ -194,13 +194,15 @@ def conjugate_in_g(h: SubgroupG, rep: SubgroupG) -> bool:
     return _subconjugate(h, rep)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitType:
     """A conjugacy class of closed subgroups, as handled by the Burnside layer.
 
     kind is "finite" for dihedral/cyclic-projection subgroups (rep holds a
     standard-position representative) or "o2" for full-O(2) direct products
     O(2) x K2 (rep is None, k2_class indexes the Gamma' subgroup class).
+    Types are interned, one object per class per context, so equality and
+    hashing are by identity.
     """
 
     key: int
@@ -230,22 +232,18 @@ class AmbientContext:
     """Machinery bundle for one ambient group O(2) x Gamma'.
 
     Holds the finite factor, display names for its subgroup classes, the
-    irreducible representation data used by orbit-type computations, and all
-    memo tables.  Immutable from the caller's point of view; the internal
-    caches are guarded by a lock so concurrent queries are safe.
-
-    weyl_mode selects the coefficient presentation: "reduced" (default)
-    reports coefficients and Weyl orders in the conventional table basis,
-    where rotation-kernel types carry a factor-2 rescale; "ambient" reports
-    the literal product-group values.  Ring arithmetic is identical in both.
+    irreducible representation data used by orbit-type computations, the
+    type registry and one memo.  Immutable from the caller's point of view.
+    Every query the layers memoize (containment, n(H, K), Weyl orders, folds,
+    fixed dimensions, Goursat pools, orbit and maximal types, generator
+    products, basic degrees and degree products) keeps its results in
+    _memo[function name], filled by groups.memoized.  One re-entrant lock
+    guards the registry, which creates types under it, and the memo stores;
+    queries compute outside it, so concurrent queries are safe.
     """
 
     def __init__(self, gamma: FiniteGroup, irreps: dict[int, "Irrep"],
-                 class_names: Optional[Sequence[str]] = None,
-                 weyl_mode: str = "reduced"):
-        if weyl_mode not in ("reduced", "ambient"):
-            raise ValueError(f"unknown weyl_mode {weyl_mode!r}")
-        self.weyl_mode = weyl_mode
+                 class_names: Optional[Sequence[str]] = None):
         self.gamma = gamma
         self.irreps = dict(irreps)
         self.exponent = 1
@@ -264,17 +262,7 @@ class AmbientContext:
         self._interned: dict[SubgroupG, OrbitType] = {}  # representative -> its type
         self._o2_types: dict[int, OrbitType] = {}
         self._symbol_counts: dict[str, int] = {}
-        self._leq_cache: dict[tuple[int, int], bool] = {}
-        self._n_cache: dict[tuple[int, int], int] = {}
-        self._weyl_cache: dict[int, int] = {}
-        self._orbit_type_cache: dict[tuple[int, int], tuple] = {}
-        self._maximal_cache: dict[int, dict] = {}
-        self._fix_cache: dict[tuple[int, int, int], int] = {}
-        self._fold_cache: dict[tuple[int, int], OrbitType] = {}
-        # (m, include_cyclic) -> Goursat pool, see _goursat_pool
-        self._pools: dict[tuple[int, bool], list[list]] = {}
-        self._generator_products: dict[tuple[int, int], dict] = {}  # burnside
-        self._basic_degrees: dict[tuple[int, int], object] = {}  # degrees
+        self._memo: dict[str, dict] = {}
         self.unit = self.intern_o2(gamma.subgroup_class_of((1 << gamma.order) - 1))
 
     # -- type registry ---------------------------------------------------------
@@ -325,8 +313,7 @@ class AmbientContext:
         else:
             z1 = f"Z{h.z1_rot_count}"
         k2 = self.class_names[self.gamma.subgroup_class_of(h.proj2_mask)]
-        z2mask = self.gamma.closure_mask(h.kern2_mask | 1)
-        z2 = self.class_names[self.gamma.subgroup_class_of(z2mask)]
+        z2 = self.class_names[self.gamma.subgroup_class_of(h.kern2_mask)]
         return f"({k1}^{z1} x^{z2} {k2})"
 
     def type_by_symbol(self, symbol: str) -> OrbitType:
@@ -502,22 +489,14 @@ def intersections(a: SubgroupG, b: SubgroupG):
 
 # -- partial order, counts, Weyl groups --------------------------------------------
 
+@memoized
 def leq(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> bool:
     """(h) <= (k): some conjugate of h's representative lies inside k's."""
-    if h.key == k.key:
+    if h is k:
         return True
-    cached = ctx._leq_cache.get((h.key, k.key))
-    if cached is not None:
-        return cached
     if k.kind == "o2":
-        got = _gamma_mask_leq_class(ctx.gamma, _gamma_mask(ctx, h), k.k2_class)
-    elif h.kind == "o2":
-        got = False
-    else:
-        got = _subconjugate(h.rep, k.rep)
-    with ctx._lock:
-        ctx._leq_cache[(h.key, k.key)] = got
-    return got
+        return _gamma_mask_leq_class(ctx.gamma, _gamma_mask(ctx, h), k.k2_class)
+    return h.kind != "o2" and _subconjugate(h.rep, k.rep)
 
 
 def _gamma_mask(ctx: AmbientContext, t: OrbitType) -> int:
@@ -531,25 +510,20 @@ def _gamma_mask_leq_class(gamma: FiniteGroup, mask: int, c2: int) -> bool:
     return any((mask & ~m2) == 0 for m2 in gamma.subgroup_classes()[c2].members)
 
 
+@memoized
 def n_amalgam(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> int:
     """n(H, K): number of conjugates of K containing a fixed representative of H."""
-    cached = ctx._n_cache.get((h.key, k.key))
-    if cached is not None:
-        return cached
     if k.kind == "o2":
-        got = n_count(ctx.gamma, Subgroup(ctx.gamma, _gamma_mask(ctx, h)),
-                      ctx.gamma.subgroup_classes()[k.k2_class])
-    elif h.kind == "o2":
-        got = 0
-    else:
-        if not h.rep.has_reflections:
-            raise InfiniteWeyl(f"{h.symbol} has infinite Weyl group; n(H,K) undefined")
-        got, again = _containing_counts(h.rep, k.rep, 2)
-        if got != again:
-            raise StabilizationFailure(
-                f"n({h.symbol},{k.symbol}) unstable under grid refinement: {got} vs {again}")
-    with ctx._lock:
-        ctx._n_cache[(h.key, k.key)] = got
+        return n_count(ctx.gamma, Subgroup(ctx.gamma, _gamma_mask(ctx, h)),
+                       ctx.gamma.subgroup_classes()[k.k2_class])
+    if h.kind == "o2":
+        return 0
+    if not h.rep.has_reflections:
+        raise InfiniteWeyl(f"{h.symbol} has infinite Weyl group; n(H,K) undefined")
+    got, again = _containing_counts(h.rep, k.rep, 2)
+    if got != again:
+        raise StabilizationFailure(
+            f"n({h.symbol},{k.symbol}) unstable under grid refinement: {got} vs {again}")
     return got
 
 
@@ -593,26 +567,20 @@ def _count_containing(h: SubgroupG, k: SubgroupG, grid_mult: int) -> int:
     return _containing_counts(h, k, grid_mult)[1]
 
 
+@memoized
 def ambient_weyl_order(ctx: AmbientContext, t: OrbitType) -> int:
     """|N(H)/H| inside the literal product group O(2) x Gamma'."""
-    cached = ctx._weyl_cache.get(t.key)
-    if cached is not None:
-        return cached
     if t.kind == "o2":
-        got = ctx.gamma.class_weyl_order(t.k2_class)
-    else:
-        h = t.rep
-        if not h.has_reflections:
-            raise InfiniteWeyl(f"{t.symbol} has infinite Weyl group")
-        got, again = _normalizer_counts(h, 2)
-        if got != again:
-            raise InfiniteWeyl(f"{t.symbol}: normalizer grows under grid refinement")
-        if got % h.order:
-            raise NonIntegralWeyl(f"{t.symbol}: |N(H)| = {got} is not a multiple of |H|")
-        got //= h.order
-    with ctx._lock:
-        ctx._weyl_cache[t.key] = got
-    return got
+        return ctx.gamma.class_weyl_order(t.k2_class)
+    h = t.rep
+    if not h.has_reflections:
+        raise InfiniteWeyl(f"{t.symbol} has infinite Weyl group")
+    got, again = _normalizer_counts(h, 2)
+    if got != again:
+        raise InfiniteWeyl(f"{t.symbol}: normalizer grows under grid refinement")
+    if got % h.order:
+        raise NonIntegralWeyl(f"{t.symbol}: |N(H)| = {got} is not a multiple of |H|")
+    return got // h.order
 
 
 def _normalizer_counts(h: SubgroupG, grid_mult: int) -> tuple[int, int]:
@@ -632,12 +600,9 @@ def coeff_scale(ctx: AmbientContext, t: OrbitType) -> int:
 
     Coefficients on finite types whose O(2)-kernel contains no reflection are
     reported doubled; the presentations are isomorphic and all internal
-    arithmetic runs in the ambient ring.  "ambient" mode turns the rescale off.
+    arithmetic runs in the ambient ring (see BurnsideElement.coeff_ambient).
     """
-    if (ctx.weyl_mode == "reduced" and t.is_finite and t.rep.has_reflections
-            and not t.rep.z1_axes):
-        return 2
-    return 1
+    return 2 if t.is_finite and t.rep.has_reflections and not t.rep.z1_axes else 1
 
 
 def weyl_order_amalgam(ctx: AmbientContext, t: OrbitType) -> int:
@@ -667,31 +632,22 @@ def fold_subgroup(h: SubgroupG, s: int) -> SubgroupG:
                                for i in range(s)), s * L)
 
 
+@memoized
 def fold(ctx: AmbientContext, t: OrbitType, s: int) -> OrbitType:
     """Preimage class under the s-fold map on the O(2) factor."""
     if s == 1 or t.kind == "o2":
         return t
-    got = ctx._fold_cache.get((t.key, s))
-    if got is None:
-        got = ctx.intern(fold_subgroup(t.rep, s))
-        with ctx._lock:
-            ctx._fold_cache[(t.key, s)] = got
-    return got
+    return ctx.intern(fold_subgroup(t.rep, s))
 
 
 # -- fixed spaces -----------------------------------------------------------------------
 
+@memoized
 def fixed_dim_irrep(ctx: AmbientContext, t: OrbitType, m: int, j: int) -> int:
     """dim (W_m (x) V_j^-)^H by character averaging."""
-    got = ctx._fix_cache.get((t.key, m, j))
-    if got is None:
-        if t.kind == "o2":
-            got = 0 if m >= 1 else _class_fix_dim(ctx, t.k2_class, j)
-        else:
-            got = _fix_dims(ctx, t.rep, m, (j,))[j]
-        with ctx._lock:
-            ctx._fix_cache[(t.key, m, j)] = got
-    return got
+    if t.kind == "o2":
+        return 0 if m >= 1 else _class_fix_dim(ctx, t.k2_class, j)
+    return _fix_dims(ctx, t.rep, m, (j,))[j]
 
 
 def _fix_dims(ctx: AmbientContext, h: SubgroupG, m: int, js: Iterable[int]) -> dict[int, int]:
@@ -917,20 +873,16 @@ def orbit_types(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool = Fa
     the full-O(2) classes at m = 0) are returned, which is what the Burnside
     layer consumes; include_non_phi0 adds the cyclic-projection classes.
     """
-    key = (m, j, include_non_phi0)
-    with ctx._lock:
-        if key in ctx._orbit_type_cache:
-            return list(ctx._orbit_type_cache[key])
+    return list(_orbit_types(ctx, m, j, include_non_phi0))
+
+
+@memoized
+def _orbit_types(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool) -> tuple:
     if m == 0:
-        out = _orbit_types_m0(ctx, j)
-    elif m == 1:
-        out = _orbit_types_enum(ctx, 1, j, include_non_phi0)
-    else:
-        base = orbit_types(ctx, 1, j, include_non_phi0)
-        out = [fold(ctx, t, m) for t in base]
-    with ctx._lock:
-        ctx._orbit_type_cache[key] = tuple(out)
-    return list(out)
+        return tuple(_orbit_types_m0(ctx, j))
+    if m == 1:
+        return tuple(_orbit_types_enum(ctx, 1, j, include_non_phi0))
+    return tuple(fold(ctx, t, m) for t in orbit_types(ctx, 1, j, include_non_phi0))
 
 
 def orbit_types_direct(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool = False):
@@ -957,26 +909,22 @@ def _orbit_types_m0(ctx: AmbientContext, j: int):
     return [ctx.intern_o2(c) for c in kept]
 
 
+@memoized
 def _goursat_pool(ctx: AmbientContext, m: int, include_cyclic: bool):
     """The distinct std-position Goursat candidates at frequency m whose fixed
     space is nonzero in some active irrep, in candidate order, each with its
     dim Fix per active irrep; built once per context."""
-    key = (m, include_cyclic)
-    got = ctx._pools.get(key)
-    if got is None:
-        js = ctx.active_js()
-        got, seen = [], set()
-        for h in _candidate_subgroups(ctx, m * ctx.exponent, include_cyclic):
-            dims = _fix_dims(ctx, h, m, js)
-            if not any(dims.values()):
-                continue
-            h = h.std_position()
-            if h not in seen:
-                seen.add(h)
-                got.append([h, dims])
-        with ctx._lock:
-            got = ctx._pools.setdefault(key, got)
-    return got
+    js = ctx.active_js()
+    pool, seen = [], set()
+    for h in _candidate_subgroups(ctx, m * ctx.exponent, include_cyclic):
+        dims = _fix_dims(ctx, h, m, js)
+        if not any(dims.values()):
+            continue
+        h = h.std_position()
+        if h not in seen:
+            seen.add(h)
+            pool.append([h, dims])
+    return pool
 
 
 def _orbit_types_enum(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool):
@@ -996,16 +944,14 @@ def _orbit_types_enum(ctx: AmbientContext, m: int, j: int, include_non_phi0: boo
 
 def maximal_types(ctx: AmbientContext, m: int, j: int):
     """Maximal orbit types of W_m (x) V_j^- under the subconjugation order."""
-    with ctx._lock:
-        cache = ctx._maximal_cache.get((m, j))
-    if cache is None:
-        pool = orbit_types(ctx, m, j)
-        cache = [t for t in pool
-                 if not any(u.key != t.key and leq(ctx, t, u) for u in pool)]
-        cache.sort(key=lambda t: (t.order or 0, t.symbol))
-        with ctx._lock:
-            ctx._maximal_cache[(m, j)] = cache
-    return list(cache)
+    return list(_maximal_types(ctx, m, j))
+
+
+@memoized
+def _maximal_types(ctx: AmbientContext, m: int, j: int) -> tuple:
+    pool = orbit_types(ctx, m, j)
+    return tuple(sorted((t for t in pool if not any(u is not t and leq(ctx, t, u) for u in pool)),
+                        key=lambda t: (t.order or 0, t.symbol)))
 
 
 # -- symbol rendering --------------------------------------------------------------

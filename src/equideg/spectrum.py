@@ -175,10 +175,7 @@ class BesselZeroTable:
         Escalates the requested horizon until the Watson bound m(m+2) > sup_mu
         cuts off the frequencies and the deepest kept row passes sup_mu.
         """
-        m_need = m_max
-        while m_need <= MAX_ORDER and m_need * (m_need + 2) <= sup_mu:
-            m_need += 1
-        table = cls(max(m_max, m_need), n_max)
+        table = cls(max(m_max, _required_m(sup_mu)), n_max)
         while True:
             kept = [table.entries[m][-1] for m in range(table.m_max + 1)
                     if table.entries[m][0] <= sup_mu]
@@ -329,8 +326,10 @@ def critical_points(curves: Sequence[EigenvalueCurve], table: BesselZeroTable) -
 
 
 def _required_m(sup_mu: float) -> int:
+    """Least m with m(m + 2) > sup_mu, capped at MAX_ORDER + 1 (beyond the
+    supported range)."""
     m = 0
-    while m * (m + 2) <= sup_mu:
+    while m <= MAX_ORDER and m * (m + 2) <= sup_mu:
         m += 1
     return m
 

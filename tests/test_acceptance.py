@@ -185,8 +185,7 @@ def test_criterion_10_property_suites(model, prob):
     # containment counts are stable under grid refinement for every queried pair
     from equideg.orbit_types import _count_containing
     requeried = 0
-    for (hk, kk), val in list(ctx._n_cache.items()):
-        h, k = ctx._types[hk], ctx._types[kk]
+    for (h, k), val in list(ctx._memo["n_amalgam"].items()):
         if not (h.is_finite and k.is_finite):
             continue
         assert _count_containing(h.rep, k.rep, 2) == val, (h.symbol, k.symbol)

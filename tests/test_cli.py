@@ -127,10 +127,17 @@ def test_malformed_section_is_exit_2(capsys, tmp_path, path, value):
     (("linearization", "zeta"), {"breakpoints": 5}),
     (("action", "generator_images"), [5, 5]),
     (("linearization", "a"), float("inf")),
-], ids=["n_max", "m_max", "rows", "zeta", "generator_images", "a_infinite"])
+    (("analysis", "k_fixed"), "false"),
+    (("notes",), 5),
+    (("notes",), "abc"),
+], ids=["n_max", "m_max", "rows", "zeta", "generator_images", "a_infinite",
+        "k_fixed_string", "notes_number", "notes_string"])
 def test_malformed_field_is_exit_2(capsys, tmp_path, path, value):
     cfg = bundled_config("six_membranes")
-    cfg[path[0]][path[1]] = value
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
     code, _, err = run_cli(capsys, "--config", str(p), "critical-points")

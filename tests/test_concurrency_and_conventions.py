@@ -3,7 +3,7 @@ import concurrent.futures
 from equideg.bifurcation import local_invariant
 from equideg.burnside import BurnsideElement
 from equideg.degrees import basic_degree
-from equideg.orbit_types import AmbientContext, parse_symbol
+from equideg.orbit_types import parse_symbol
 
 
 def test_concurrent_invariants(model, prob):
@@ -29,11 +29,10 @@ def test_concurrent_degree_queries(model):
     assert results[: len(jobs) // 2] == results[len(jobs) // 2:]
 
 
-def test_ambient_convention_option(model):
-    amb = AmbientContext(model.gamma_prime, model.ctx.irreps,
-                         model.ctx.class_names, weyl_mode="ambient")
-    d = basic_degree(amb, 1, 2).value
-    t = parse_symbol(amb, "(D6^Z1 x^V4 S4p)")
+def test_ambient_convention(ctx):
+    d = basic_degree(ctx, 1, 2).value
+    t = parse_symbol(ctx, "(D6^Z1 x^V4 S4p)")
     # without the table rescale the rotation-kernel coefficient is half as large
-    assert d.coeff(t) == -1
-    assert d * d == BurnsideElement.unit(amb)
+    assert d.coeff_ambient(t) == -1
+    assert d.coeff(t) == -2
+    assert d * d == BurnsideElement.unit(ctx)

@@ -1,0 +1,78 @@
+"""The one memo primitive, groups.memoized, and the query tables it keeps in
+each context's _memo."""
+
+import sys
+import threading
+
+from equideg.burnside import generator_product
+from equideg.degrees import basic_degree
+from equideg.groups import memoized
+from equideg.model_io import bundled_model, run_report
+
+
+class _Owner:
+    def __init__(self):
+        self._memo = {}
+        self._lock = threading.Lock()
+        self.calls = 0
+
+
+@memoized
+def _pair(owner, a, b):
+    owner.calls += 1
+    return [a, b]
+
+
+def test_memo_binds_keywords_and_keeps_the_first_result():
+    owner = _Owner()
+    first = _pair(owner, 1, 2)
+    assert _pair(owner, 1, b=2) is first and _pair(owner, a=1, b=2) is first
+    assert _pair(owner, 2, 1) == [2, 1] and owner.calls == 2
+    assert owner._memo == {"_pair": {(1, 2): [1, 2], (2, 1): [2, 1]}}
+
+
+def test_concurrent_misses_share_the_first_stored_result():
+    owner = _Owner()
+    seen = [[] for _ in range(8)]
+
+    def work(i):
+        for n in range(200):
+            seen[i].append(_pair(owner, n % 5, i % 2))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    table = owner._memo["_pair"]
+    assert len(table) == 10
+    for got in seen:
+        assert len(got) == 200
+        assert all(r is table[tuple(r)] for r in got)
+
+
+def test_keyword_query_is_the_positional_entry(ctx):
+    assert basic_degree(ctx, m=1, j=2) is basic_degree(ctx, 1, 2)
+
+
+def test_generator_product_is_one_entry_per_unordered_pair(ctx):
+    types = [t for t in basic_degree(ctx, 1, 2).value.terms if t is not ctx.unit]
+    a, b = types[0], types[-1]
+    assert a is not b
+    assert generator_product(ctx, a, b) is generator_product(ctx, b, a)
+
+
+def test_cold_report_memo_sizes():
+    """The memo misses of one cold report of the shipped model equal the
+    distinct queries the benchmark tracer counts: 563 n(H, K) pairs and six
+    basic degrees."""
+    model = bundled_model()
+    run_report(model)
+    assert len(model.ctx._memo["n_amalgam"]) == 563
+    assert len(model.ctx._memo["basic_degree"]) == 6

@@ -18,6 +18,7 @@ from equideg.orbit_types import (
     SubgroupG,
     _candidate_subgroups,
     _containing_counts,
+    _goursat_pool,
     _isotropy_classes,
     _may_contain,
     _normalizer_counts,
@@ -176,6 +177,20 @@ def test_containment_pretest_is_sound(which):
                 assert _may_contain(h, k), (h, k)
                 contained += 1
     assert contained > len(types)
+
+
+@pytest.mark.parametrize("which", ["six", "triangle"])
+def test_gamma_kernel_is_a_subgroup(which):
+    """The Gamma'-kernel {g : (1, g) in H} of every Goursat-pool candidate is
+    already a subgroup, so fingerprints and symbols use it unclosed."""
+    ctx = (bundled_model() if which == "six" else load_model(TRIANGLE)).ctx
+    checked = 0
+    for m in (1, 2):
+        for include_cyclic in (False, True):
+            for h, _ in _goursat_pool(ctx, m, include_cyclic):
+                assert ctx.gamma.closure_mask(h.kern2_mask) == h.kern2_mask, h
+                checked += 1
+    assert checked > 20
 
 
 # -- the rebuild-per-irrep enumeration ------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from equideg.errors import (
     NonMonotoneCurve,
 )
 from equideg.spectrum import (
+    MAX_ORDER,
     BesselZeroTable,
     EigenvalueCurve,
     a_priori_radius,
@@ -20,6 +22,7 @@ from equideg.spectrum import (
     index_sets,
     kernel_mode,
     sublinear_root,
+    _required_m,
 )
 
 from s5_fixtures import bessel_entries
@@ -88,6 +91,30 @@ def test_sufficient_horizon_beyond_supported_range_is_refused():
     # counting towards sqrt(sup_mu)
     with pytest.raises(ValueError, match="supported range"):
         BesselZeroTable.sufficient_for(1e300)
+
+
+def test_huge_eigenvalue_bound_is_refused_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(InsufficientHorizon) as ei:
+        critical_points([EigenvalueCurve(0, 0.0, 1e300)], BesselZeroTable(2, 2))
+    assert ei.value.required_m_max == MAX_ORDER + 1
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_required_m_is_the_watson_cutoff():
+    def uncapped(sup_mu):
+        m = 0
+        while m * (m + 2) <= sup_mu:
+            m += 1
+        return m
+
+    # m(m + 2) itself, where the cut-off must move past m, and either side
+    bounds = [m * (m + 2) + d for m in range(MAX_ORDER + 1) for d in (-0.5, 0, 0.5)]
+    for sup_mu in [-1.0, 0.0] + bounds:
+        want = uncapped(sup_mu)
+        assert _required_m(sup_mu) == min(want, MAX_ORDER + 1), sup_mu
+    assert _required_m(MAX_ORDER * (MAX_ORDER + 2)) == MAX_ORDER + 1
+    assert _required_m(MAX_ORDER * (MAX_ORDER + 2) - 0.5) == MAX_ORDER
 
 
 @pytest.fixture(scope="module")
