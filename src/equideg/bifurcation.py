@@ -5,12 +5,18 @@ negative-spectrum index sets on both sides.  Products are evaluated in the
 Burnside layer (brute force is normative); the frequency-folding statistics
 feed the closed-form coefficient rule, which is always cross-checked against
 the product value.
+
+Folding profiles and local invariants are memoized on the problem (its _memo,
+filled by groups.memoized), so a report computes each once and shares them;
+each coefficient is computed once too, by the fast-path check that also feeds
+the certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .burnside import BurnsideElement
@@ -46,11 +52,10 @@ class BifurcationProblem:
         self.mode = mode
         self.k_fixed = k_fixed
         self.alpha_bracket = alpha_bracket
+        self._lock = threading.Lock()
+        self._memo: dict[str, dict] = {}
 
     # -- index bookkeeping -------------------------------------------------------
-
-    def crossing_levels(self) -> list[float]:
-        return [cp.zeta_level for cp in self.critical]
 
     def bracket(self, cp: CriticalPoint) -> tuple[float, float]:
         """alpha0 -/+ min(alpha_bracket, half-gap to the neighbouring crossings)."""
@@ -64,14 +69,12 @@ class BifurcationProblem:
         hi = cp.alpha + min(self.alpha_bracket, gap_hi / 2)
         return lo, hi
 
-    def sigma(self, alpha: float, mode: Optional[str] = None,
-              k_fixed: Optional[bool] = None) -> tuple[tuple[int, int, int], ...]:
+    def sigma(self, alpha: float, mode: Optional[str] = None) -> tuple[tuple[int, int, int], ...]:
         """Index triples contributing to the degree product at alpha."""
         mode = self.mode if mode is None else mode
-        k_fixed = self.k_fixed if k_fixed is None else k_fixed
         _, sig, sig_k = index_sets(self.curves.values(), self.table, alpha,
                                    self.multiplicities)
-        triples = (sig_k if k_fixed else sig).triples
+        triples = (sig_k if self.k_fixed else sig).triples
         if mode == "relative":  # drop the permanently negative background blocks
             triples = tuple((n, m, j) for n, m, j in triples
                             if self.table.entries[m][n - 1] > self.curves[j].codomain()[0])
@@ -116,16 +119,20 @@ class LocalInvariant:
 
 
 def local_invariant(prob: BifurcationProblem, cp: CriticalPoint,
-                    mode: Optional[str] = None, k_fixed: Optional[bool] = None) -> LocalInvariant:
-    mode = prob.mode if mode is None else mode
-    k_fixed = prob.k_fixed if k_fixed is None else k_fixed
+                    mode: Optional[str] = None) -> LocalInvariant:
+    """Degree product below cp minus the one above it, in mode or the problem's."""
+    return _local_invariant(prob, cp, prob.mode if mode is None else mode)
+
+
+@memoized
+def _local_invariant(prob: BifurcationProblem, cp: CriticalPoint, mode: str) -> LocalInvariant:
     lo, hi = prob.bracket(cp)
-    rho_lo = prob.rho(prob.sigma(lo, mode, k_fixed))
-    rho_hi = prob.rho(prob.sigma(hi, mode, k_fixed))
-    return LocalInvariant(cp.id, mode, k_fixed, rho_lo - rho_hi, lo, hi)
+    rho_lo = prob.rho(prob.sigma(lo, mode))
+    rho_hi = prob.rho(prob.sigma(hi, mode))
+    return LocalInvariant(cp.id, mode, prob.k_fixed, rho_lo - rho_hi, lo, hi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FoldingProfile:
     """Frequency-folding statistics of one critical point against one maximal type.
 
@@ -137,26 +144,25 @@ class FoldingProfile:
 
     cp_id: tuple[int, int, int]
     orbit_type: OrbitType
-    n_minus: dict[int, int] = field(default_factory=dict)
-    n_plus: dict[int, int] = field(default_factory=dict)
-    indicator: dict[int, int] = field(default_factory=dict)
-    signed_indicator: dict[int, int] = field(default_factory=dict)
-    m_minus: dict[int, int] = field(default_factory=dict)
-    m_plus: dict[int, int] = field(default_factory=dict)
-    s_max: Optional[int] = None
+    n_minus: dict[int, int]
+    n_plus: dict[int, int]
+    indicator: dict[int, int]
+    signed_indicator: dict[int, int]
+    m_minus: dict[int, int]
+    m_plus: dict[int, int]
+    s_max: Optional[int]
 
 
-def folding_profile(prob: BifurcationProblem, cp: CriticalPoint, h: OrbitType,
-                    mode: Optional[str] = None, k_fixed: Optional[bool] = None) -> FoldingProfile:
-    """Crossing counts n^s, indicators i^s, and exponents m^s for (H) in M_1."""
+@memoized
+def folding_profile(prob: BifurcationProblem, cp: CriticalPoint, h: OrbitType) -> FoldingProfile:
+    """Crossing counts n^s, indicators i^s, and exponents m^s for (H) in M_1,
+    in the problem's mode."""
     ctx = prob.ctx
-    mode = prob.mode if mode is None else mode
-    k_fixed = prob.k_fixed if k_fixed is None else k_fixed
     lo, hi = prob.bracket(cp)
-    sig_lo = prob.sigma(lo, mode, k_fixed)
-    sig_hi = prob.sigma(hi, mode, k_fixed)
+    sig_lo = prob.sigma(lo)
+    sig_hi = prob.sigma(hi)
     levels = sorted({m for _, m, _ in sig_lo} | {m for _, m, _ in sig_hi} | {cp.m})
-    prof = FoldingProfile(cp.id, h)
+    n_minus, n_plus, indicator, signed, m_minus, m_plus = {}, {}, {}, {}, {}, {}
     for s in levels:
         if s == 0:
             continue
@@ -165,24 +171,24 @@ def folding_profile(prob: BifurcationProblem, cp: CriticalPoint, h: OrbitType,
                     if m == s and basic_degree(ctx, m, j).value.coeff(u) != 0)
         nm_hi = sum(1 for n, m, j in sig_hi
                     if m == s and basic_degree(ctx, m, j).value.coeff(u) != 0)
-        prof.n_minus[s] = nm_lo
-        prof.n_plus[s] = nm_hi
+        n_minus[s] = nm_lo
+        n_plus[s] = nm_hi
         if nm_lo % 2 == nm_hi % 2:
             ind = 0
         elif nm_lo % 2 == 0:
             ind = 1
         else:
             ind = -1
-        prof.indicator[s] = ind
+        indicator[s] = ind
         prior = sum(1 for n, m, j in sig_lo if m == s)
-        prof.signed_indicator[s] = ind * (-1) ** prior
+        signed[s] = ind * (-1) ** prior
         flips_lo = _flip_count(prob, sig_lo, u)
         flips_hi = _flip_count(prob, sig_hi, u)
-        prof.m_minus[s] = prior + flips_lo
-        prof.m_plus[s] = sum(1 for n, m, j in sig_hi if m == s) + flips_hi
-    nonzero = [s for s, v in prof.indicator.items() if v]
-    prof.s_max = max(nonzero) if nonzero else None
-    return prof
+        m_minus[s] = prior + flips_lo
+        m_plus[s] = sum(1 for n, m, j in sig_hi if m == s) + flips_hi
+    nonzero = [s for s, v in indicator.items() if v]
+    return FoldingProfile(cp.id, h, n_minus, n_plus, indicator, signed, m_minus, m_plus,
+                          max(nonzero) if nonzero else None)
 
 
 def _flip_count(prob: BifurcationProblem, triples, u: OrbitType) -> int:
@@ -207,14 +213,13 @@ def _flip_count(prob: BifurcationProblem, triples, u: OrbitType) -> int:
 
 
 def theorem_bounded_coeff(prob: BifurcationProblem, cp: CriticalPoint, h: OrbitType,
-                          s: int, profile: Optional[FoldingProfile] = None,
-                          cross_check: bool = True) -> int:
+                          s: int) -> int:
     """Closed-form coefficient of the s-fold of h in the local invariant.
 
     Requires the profile's top indicator to be nonzero; the value must agree
     with the coefficient read from the product-computed invariant.
     """
-    prof = profile or folding_profile(prob, cp, h)
+    prof = folding_profile(prob, cp, h)
     if prof.s_max is None:
         raise CrossCheckMismatch(
             f"{h.symbol} has no nonzero indicator at {cp.id}; the coefficient rule needs one")
@@ -225,12 +230,10 @@ def theorem_bounded_coeff(prob: BifurcationProblem, cp: CriticalPoint, h: OrbitT
         fast = ((-1) ** prof.m_minus[s]) * prof.signed_indicator[s] * x0_of(prob.ctx, u)
     else:
         raise CrossCheckMismatch(f"coefficient rule stated only for s >= s_max, got {s}")
-    if cross_check:
-        inv = local_invariant(prob, cp)
-        brute = inv.value.coeff(fold(prob.ctx, h, s))
-        if brute != fast:
-            raise CrossCheckMismatch(
-                f"coeff of {h.symbol} fold {s} at {cp.id}: rule gives {fast}, product gives {brute}")
+    brute = local_invariant(prob, cp).value.coeff(fold(prob.ctx, h, s))
+    if brute != fast:
+        raise CrossCheckMismatch(
+            f"coeff of {h.symbol} fold {s} at {cp.id}: rule gives {fast}, product gives {brute}")
     return fast
 
 
@@ -244,20 +247,24 @@ class BranchCertificate:
     statement: str
 
 
+def certificate(prob: BifurcationProblem, cp: CriticalPoint, h: OrbitType, s: int,
+                coefficient: int) -> BranchCertificate:
+    """The branch certificate for a nonzero coefficient of the s-fold of h at cp."""
+    folded = fold(prob.ctx, h, s)
+    stmt = (f"branch of non-radial solutions bifurcating from (alpha_{cp.id}, 0) "
+            f"with symmetries at least {folded.symbol}")
+    return BranchCertificate(cp.id, h.symbol, folded.symbol, s, coefficient, stmt)
+
+
 def branch_certificates(prob: BifurcationProblem, cp: CriticalPoint) -> list[BranchCertificate]:
     """One certificate per maximal type with nonzero closed-form coefficient."""
     out = []
     for h in prob.maximal_pool():
-        prof = folding_profile(prob, cp, h)
-        if prof.s_max is None:
-            continue
-        coeffv = theorem_bounded_coeff(prob, cp, h, prof.s_max, profile=prof)
-        if coeffv == 0:
-            continue
-        folded = fold(prob.ctx, h, prof.s_max)
-        stmt = (f"branch of non-radial solutions bifurcating from (alpha_{cp.id}, 0) "
-                f"with symmetries at least {folded.symbol}")
-        out.append(BranchCertificate(cp.id, h.symbol, folded.symbol, prof.s_max, coeffv, stmt))
+        s = folding_profile(prob, cp, h).s_max
+        if s is not None:
+            coeffv = theorem_bounded_coeff(prob, cp, h, s)
+            if coeffv:
+                out.append(certificate(prob, cp, h, s, coeffv))
     return out
 
 

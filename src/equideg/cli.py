@@ -182,6 +182,7 @@ def _dispatch(args) -> int:
 
     if cmd == "report":
         rep = run_report(model)
+        bad = [e for e in rep["fast_path_checks"] if e["status"] != "ok"]
         if args.format == "json":
             _emit(args, report_json(rep))
         else:
@@ -196,11 +197,9 @@ def _dispatch(args) -> int:
             for v in rep["verdicts"]:
                 lines.append(f"{v['orbit_type']}: {v['conclusion']} -> {v['folded']}")
             lines.append("rabinowitz sum = " + format_terms(rep["rabinowitz_sum"]["terms"]))
-            bad = [e for e in rep["fast_path_checks"] if e["status"] != "ok"]
             lines.append(f"fast-path checks: {len(rep['fast_path_checks'])} run, "
                          f"{len(bad)} flagged")
             _emit(args, "\n".join(lines) + "\n")
-        bad = [e for e in rep["fast_path_checks"] if e["status"] != "ok"]
         return 3 if bad else 0
 
     if cmd == "kernel-grid":

@@ -400,9 +400,6 @@ class SubgroupClass:
     def order(self) -> int:
         return self.representative.order
 
-    def with_name(self, name: str) -> "SubgroupClass":
-        return SubgroupClass(self.representative, self.class_size, name, self.members)
-
     def __repr__(self) -> str:
         tag = self.name or f"order{self.order}"
         return f"SubgroupClass({tag}, size={self.class_size})"
@@ -578,9 +575,6 @@ class OrthogonalAction:
                 m[i, j] = 1.0
             gen_mats.append(m)
         return cls.from_generator_matrices(group, generators, gen_mats, dimension)
-
-    def matrix(self, i: int):
-        return self.matrices[i]
 
     def character(self, i: int) -> float:
         return float(self.matrices[i].trace())

@@ -413,21 +413,22 @@ def run_report(model: Model, modes: Optional[Sequence[str]] = None) -> dict:
                 "m_minus": {str(k): v for k, v in sorted(prof.m_minus.items())},
                 "m_plus": {str(k): v for k, v in sorted(prof.m_plus.items())},
             })
-            if prof.s_max is not None:
-                entry = {"id": list(cp.id), "orbit_type": h.symbol, "s": prof.s_max}
-                try:
-                    entry["value"] = bif.theorem_bounded_coeff(prob, cp, h, prof.s_max,
-                                                               profile=prof)
-                    entry["status"] = "ok"
-                except CrossCheckMismatch as e:
-                    entry["status"] = f"mismatch: {e}"
-                report["fast_path_checks"].append(entry)
-        for cert in bif.branch_certificates(prob, cp):
-            report["certificates"].append({
-                "id": list(cert.cp_id), "orbit_type": cert.orbit_type_symbol,
-                "folded": cert.folded_symbol, "s": cert.s,
-                "coefficient": cert.coefficient, "statement": cert.statement,
-            })
+            if prof.s_max is None:
+                continue
+            entry = {"id": list(cp.id), "orbit_type": h.symbol, "s": prof.s_max}
+            try:
+                entry["value"] = bif.theorem_bounded_coeff(prob, cp, h, prof.s_max)
+                entry["status"] = "ok"
+            except CrossCheckMismatch as e:
+                entry["status"] = f"mismatch: {e}"
+            report["fast_path_checks"].append(entry)
+            if entry.get("value"):  # a zero or flagged coefficient certifies nothing
+                cert = bif.certificate(prob, cp, h, prof.s_max, entry["value"])
+                report["certificates"].append({
+                    "id": list(cert.cp_id), "orbit_type": cert.orbit_type_symbol,
+                    "folded": cert.folded_symbol, "s": cert.s,
+                    "coefficient": cert.coefficient, "statement": cert.statement,
+                })
     for h in pool:
         v = bif.global_verdict(prob, h)
         report["verdicts"].append({

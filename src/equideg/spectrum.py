@@ -229,10 +229,6 @@ class EigenvalueCurve:
             if not (inc or dec):
                 raise NonMonotoneCurve(f"curve {self.j}: breakpoint values not strictly monotone")
 
-    @property
-    def is_tabulated(self) -> bool:
-        return self.breakpoints is not None
-
     def value(self, alpha: float) -> float:
         if self.breakpoints is None:
             return self.a + self.w * sigmoid(alpha)

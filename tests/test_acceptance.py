@@ -132,7 +132,7 @@ def test_criterion_08_fast_paths_agree(model, prob):
             prof = folding_profile(prob, cp, h)
             if prof.s_max is None:
                 continue
-            theorem_bounded_coeff(prob, cp, h, prof.s_max, profile=prof)  # raises on mismatch
+            theorem_bounded_coeff(prob, cp, h, prof.s_max)  # raises on mismatch
             checked += 1
     assert checked == 17
     pairs = 0

@@ -106,7 +106,7 @@ def test_theorem_coefficients_match_products(model, prob):
             prof = folding_profile(prob, cp, h)
             if prof.s_max is None:
                 continue
-            theorem_bounded_coeff(prob, cp, h, prof.s_max, profile=prof)
+            theorem_bounded_coeff(prob, cp, h, prof.s_max)
             checked += 1
     assert checked == 17
 
@@ -116,7 +116,7 @@ def test_theorem_zero_above_top_folding(model, prob):
     for h in maximal_types(model.ctx, 1, 2):
         prof = folding_profile(prob, cp, h)
         assert prof.s_max == 1
-        assert theorem_bounded_coeff(prob, cp, h, 3, profile=prof) == 0
+        assert theorem_bounded_coeff(prob, cp, h, 3) == 0
         inv = local_invariant(prob, cp)
         assert inv.value.coeff(fold(model.ctx, h, 3)) == 0
 
@@ -177,7 +177,7 @@ class _SyntheticProblem(BifurcationProblem):
                          cps, mode="relative", k_fixed=True)
         self._schedule = crossings
 
-    def sigma(self, alpha, mode=None, k_fixed=None):
+    def sigma(self, alpha, mode=None):
         return tuple(sorted(t for t, a in self._schedule if a < alpha))
 
 

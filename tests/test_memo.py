@@ -4,6 +4,8 @@ each context's _memo."""
 import sys
 import threading
 
+import equideg.bifurcation as bif
+from equideg.bifurcation import local_invariant
 from equideg.burnside import generator_product
 from equideg.degrees import basic_degree
 from equideg.groups import memoized
@@ -70,9 +72,37 @@ def test_generator_product_is_one_entry_per_unordered_pair(ctx):
 
 def test_cold_report_memo_sizes():
     """The memo misses of one cold report of the shipped model equal the
-    distinct queries the benchmark tracer counts: 563 n(H, K) pairs and six
-    basic degrees."""
+    distinct queries the benchmark tracer counts: 563 n(H, K) pairs, six
+    basic degrees and 45 folding profiles (5 crossings x 9 maximal types).
+
+    The problem holds 10 local invariants (5 crossings x 2 modes) where the
+    tracer reads 15 distinct calls: its key keeps local_invariant(prob, cp)
+    and local_invariant(prob, cp, mode="relative") apart, while the memo
+    keys on the resolved mode.  A second report adds no entry."""
     model = bundled_model()
+    prob = model.problem
     run_report(model)
     assert len(model.ctx._memo["n_amalgam"]) == 563
     assert len(model.ctx._memo["basic_degree"]) == 6
+    sizes = {name: len(table) for name, table in prob._memo.items()}
+    assert sizes == {"folding_profile": 45, "_local_invariant": 10}
+    run_report(model)
+    assert {name: len(table) for name, table in prob._memo.items()} == sizes
+    cp = model.critical[0]
+    assert local_invariant(prob, cp) is local_invariant(prob, cp, mode=prob.mode)
+
+
+def test_one_coefficient_pass_per_report(model, monkeypatch):
+    """Each report checks each of the 17 closed-form coefficients once and
+    builds its certificates from those checks."""
+    calls = []
+    rule = bif.theorem_bounded_coeff
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(bif, "theorem_bounded_coeff", counted)
+    run_report(model)
+    assert len(calls) == 17
+    assert len(set(calls)) == 17

@@ -156,6 +156,27 @@ def test_report_command_exit_3_on_mismatch(monkeypatch, capsys):
     assert "computation error" in capsys.readouterr().err
 
 
+def test_flagged_checks_are_reported_not_raised(model, monkeypatch, tmp_path):
+    """A coefficient rule that disagrees with the product value is flagged in
+    the report, which is still written in full, and the CLI exits 3."""
+    import equideg.bifurcation as bif
+    import equideg.cli as cli
+
+    x0_of = bif.x0_of
+    monkeypatch.setattr(bif, "x0_of", lambda ctx, u: -x0_of(ctx, u))
+    rep = run_report(model)
+    checks = rep["fast_path_checks"]
+    assert len(checks) == 17
+    assert all(e["status"].startswith("mismatch:") for e in checks)
+    flagged = {(tuple(e["id"]), e["orbit_type"]) for e in checks}
+    assert not [c for c in rep["certificates"] if (tuple(c["id"]), c["orbit_type"]) in flagged]
+    out = tmp_path / "report.json"
+    code = cli.main(["--config", "bundled:six_membranes", "--format", "json",
+                     "--out", str(out), "report"])
+    assert code == 3
+    assert json.loads(out.read_text())["fast_path_checks"] == checks
+
+
 def test_multiplicity_two_block_with_scalar_coupling():
     cfg = {
         "name": "two-copies-scalar",
