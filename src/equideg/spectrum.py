@@ -2,10 +2,11 @@
 
 s_nm denotes the squared n-th positive zero of the Bessel function J_m; the
 linearization crosses eigenvalues where mu_j(alpha) = s_nm.  Bessel functions
-are evaluated by the ascending series for small argument and by backward
-(Miller) recurrence otherwise.  The zeros of one J_m come from one sweep in
-unit steps from x ~ m; each sign change is polished by bisection and two
-Newton steps.
+are evaluated by one array kernel, the ascending series for small argument
+and backward (Miller) recurrence otherwise, run element by element in
+lockstep.  A table of zeros sweeps all its orders together in unit steps from
+x ~ m for sign changes, then bisects every bracket of the table at once and
+gives each two Newton steps.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,108 +28,140 @@ from .errors import (
 
 MAX_ORDER = 200
 MAX_INDEX = 200
+_SWEEP_POINTS = 600  # kernel points per sweep pass, which bounds peak memory
 
 
 def bessel_j(m: int, x: float) -> float:
     """J_m(x) for m >= 0, x >= 0."""
-    if x < 0 or m < 0:
-        raise ValueError("need m >= 0 and x >= 0")
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    if x <= max(12.0, 2.0 * math.sqrt(m)):
-        # below this threshold the series terms decrease monotonically, so no
-        # cancellation; beyond it the backward recurrence is the stable route
-        return _bessel_series(m, x)
-    return _bessel_miller(m, x)
+    return float(_bessel(m, x))
 
 
-def _bessel_series(m: int, x: float) -> float:
+def _bessel(m, x) -> np.ndarray:
+    """J_m(x) over broadcast arrays of integer orders m >= 0 and finite x >= 0.
+
+    The ascending series serves x <= max(12, 2 sqrt(m)), where its terms
+    decrease but, for small m near 12, cancel to about 4e-13 (ROADMAP item 1);
+    backward (Miller) recurrence serves larger x.  Elements run in lockstep,
+    each through its own IEEE operations in a fixed order (float64 ufuncs
+    round each one and fuse none), so no value depends on the rest of the batch.
+    """
+    m, x = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(x, dtype=float))
+    shape, m, x = x.shape, m.ravel(), x.ravel()
+    if np.count_nonzero((m >= 0.0) & (m == np.floor(m)) & (x >= 0.0) & (x < np.inf)) < len(x):
+        raise ValueError("need integer m >= 0 and finite x >= 0")
+    out = np.where(m == 0.0, 1.0, 0.0)  # J_m(0)
+    series = (x > 0.0) & (x <= np.maximum(12.0, 2.0 * np.sqrt(m)))
+    for part, kernel in ((series, _series), ((x > 0.0) & ~series, _miller)):
+        if np.count_nonzero(part):
+            out[part] = kernel(m[part], x[part])
+    return out.reshape(shape)
+
+
+def _series(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     half = 0.5 * x
-    term = 1.0
-    for k in range(1, m + 1):
-        term *= half / k
-    total = term
-    k = 1
-    while True:
-        term *= -(half * half) / (k * (m + k))
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1e-300):
-            return total
-        k += 1
-        if k > 400:
-            raise ConvergenceFailure(f"Bessel series for J_{m}({x}) did not converge")
+    term = np.ones_like(x)
+    for k in np.arange(1.0, m.max() + 1.0):
+        term = np.where(m >= k, term * (half / k), term)
+    total, h2 = term, -1.0 * (half * half)
+    out, idx = np.empty_like(x), np.arange(len(x))
+    for k in range(1, 401):
+        term = term * (h2 / (k * (m + k)))
+        total = total + term
+        done = np.abs(term) < 1e-17 * np.maximum(np.abs(total), 1e-300)
+        if np.count_nonzero(done):
+            out[idx[done]] = total[done]
+            idx, m, h2, term, total = (v[~done] for v in (idx, m, h2, term, total))
+            if not len(idx):
+                return out
+    raise ConvergenceFailure(f"Bessel series for J_{int(m[0])}({x[idx[0]]}) did not converge")
 
 
-def _bessel_miller(m: int, x: float) -> float:
-    top = m + int(1.2 * x) + 24 + int(math.sqrt(40.0 * max(m, 1)))
-    jp = 0.0
-    jc = 1e-30
-    jm_val = 0.0
-    norm = 0.0
-    for k in range(top, 0, -1):
-        prev = (2.0 * k / x) * jc - jp
-        jp = jc
-        jc = prev
-        if k - 1 == m:
-            jm_val = jc
+def _miller(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    top = m + np.floor(1.2 * x) + 24 + np.floor(np.sqrt(40.0 * np.maximum(m, 1)))
+    # every element runs from the highest top down; until its own top it holds
+    # jp = jc = norm = 0, which the recurrence keeps, and there jc becomes 1e-30
+    starts, ends = set(top.tolist()), set(m.tolist())
+    jp, jc, jm, norm = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    for k in range(int(max(starts)), 0, -1):
+        if k in starts:
+            jc = np.where(top == float(k), 1e-30, jc)
+        jp, jc = jc, (2.0 * k / x) * jc - jp
+        if k - 1 in ends:
+            jm = np.where(m == k - 1.0, jc, jm)
         if (k - 1) % 2 == 0:
-            norm += 2.0 * jc if k - 1 > 0 else jc
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            jm_val *= 1e-250
-            norm *= 1e-250
-    return jm_val / norm
+            norm += 2.0 * jc if k > 1 else jc
+        big = np.abs(jc) > 1e250
+        if np.count_nonzero(big):
+            for v in (jc, jp, jm, norm):
+                v[big] *= 1e-250
+    return jm / norm
 
 
 def bessel_zero(m: int, n: int) -> float:
     """n-th positive zero of J_m, to near machine precision."""
     if not (0 <= m <= MAX_ORDER and 1 <= n <= MAX_INDEX):
         raise ValueError(f"supported range is m <= {MAX_ORDER}, n <= {MAX_INDEX}")
-    return _row_zeros(m, n)[-1]
+    return _zeros([m], n)[0][-1]
 
 
-def _row_zeros(m: int, count: int) -> list[float]:
-    """The first `count` positive zeros of J_m, from one sweep for sign changes
-    in unit steps starting just past the transition point x ~ m."""
-    x = max(m, 1e-3)
-    f_lo = bessel_j(m, x)
-    zeros: list[float] = []
-    for _ in range(100001):
-        if len(zeros) == count:
-            return zeros
-        x2 = x + 1.0
-        f2 = bessel_j(m, x2)
-        if f_lo == 0.0:
-            zeros.append(x)
-        elif f_lo * f2 < 0.0:
-            zeros.append(_polish_zero(m, x, x2, f_lo))
-        x, f_lo = x2, f2
-    raise ConvergenceFailure(f"could not bracket zero {len(zeros) + 1} of J_{m}")
+def _zeros(orders: Sequence[int], count: int) -> list[list[float]]:
+    """The first `count` positive zeros of J_m for each m in `orders`: all rows
+    are swept together for sign changes in unit steps from x = max(m, 1e-3),
+    then all brackets are polished together."""
+    x_lo = [float(max(m, 1e-3)) for m in orders]
+    found = [0] * len(orders)
+    brackets = []  # (row, m, a, b, J_m(a)); b = a is an exact zero, which the polish keeps
+    live = list(range(len(orders)))
+    while live:
+        # zeros lie about pi apart; each row's chunk starts at its last point
+        sizes = [min(_SWEEP_POINTS // len(live), math.ceil(math.pi * (count - found[i])) + 1)
+                 for i in live]
+        xs = [x for i, size in zip(live, sizes) for x in accumulate([x_lo[i]] + [1.0] * size)]
+        ms = [orders[i] for i, size in zip(live, sizes) for _ in range(size + 1)]
+        fs = _bessel(ms, xs).tolist()
+        pos, still = 0, []
+        for i, size in zip(live, sizes):
+            for j in range(pos, pos + size):
+                if found[i] < count and (fs[j] == 0.0 or fs[j] * fs[j + 1] < 0.0):
+                    brackets.append((i, orders[i], xs[j], xs[j + (fs[j] != 0.0)], fs[j]))
+                    found[i] += 1
+            pos += size + 1
+            x_lo[i] = xs[pos - 1]
+            if found[i] < count:
+                if x_lo[i] > orders[i] + 1e5:  # far beyond any zero of the supported range
+                    raise ConvergenceFailure(
+                        f"could not bracket zero {found[i] + 1} of J_{orders[i]}")
+                still.append(i)
+        live = still
+    brackets.sort()  # row by row, each in increasing x
+    _, m, a, b, fa = zip(*brackets)
+    zeros = _polish(np.array(m, dtype=float), np.array(a), np.array(b), np.array(fa)).tolist()
+    return [zeros[i * count:(i + 1) * count] for i in range(len(orders))]
 
 
-def _polish_zero(m: int, a: float, b: float, fa: float) -> float:
-    """The zero of J_m in [a, b], where fa = J_m(a) and J_m(b) differ in sign."""
+def _polish(m: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """The zero of J_m in each [a, b], where fa = J_m(a) and J_m(b) differ in sign:
+    bisection to a width of 1e-14 x, then two Newton steps."""
+    x = np.empty_like(a)
+    idx, mb = np.arange(len(a)), m
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = bessel_j(m, mid)
-        if fm == 0.0 or (b - a) < 1e-14 * mid:
-            a = b = mid
+        if not len(idx):
             break
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    x = 0.5 * (a + b)
-    # two Newton steps using J_m' = (J_{m-1} - J_{m+1}) / 2
+        mid = 0.5 * (a + b)
+        fm = _bessel(mb, mid)
+        done = (fm == 0.0) | ((b - a) < 1e-14 * mid)
+        left = fa * fm >= 0.0
+        a, b, fa = np.where(left, mid, a), np.where(left, b, mid), np.where(left, fm, fa)
+        if np.count_nonzero(done):
+            x[idx[done]] = mid[done]
+            idx, mb, a, b, fa = (v[~done] for v in (idx, mb, a, b, fa))
+    x[idx] = 0.5 * (a + b)
+    # J_m' = (J_{m-1} - J_{m+1}) / 2, and J_0' = -J_1
     for _ in range(2):
-        f = bessel_j(m, x)
-        if m == 0:
-            d = -bessel_j(1, x)
-        else:
-            d = 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
-        if d != 0.0:
-            x -= f / d
+        f, lo, hi = _bessel(m, x), _bessel(np.abs(m - 1.0), x), _bessel(m + 1.0, x)
+        d = np.where(m == 0.0, -1.0 * hi, 0.5 * (lo - hi))
+        step = d != 0.0
+        x[step] -= f[step] / d[step]
     return x
 
 
@@ -141,11 +175,11 @@ class BesselZeroTable:
     """Table of squared Bessel zeros s[m][n] up to a horizon (m_max, n_max)."""
 
     def __init__(self, m_max: int = 12, n_max: int = 12):
-        if m_max > MAX_ORDER or n_max > MAX_INDEX:
-            raise ValueError("horizon exceeds supported range")
+        if not (0 <= m_max <= MAX_ORDER and 1 <= n_max <= MAX_INDEX):
+            raise ValueError("horizon outside supported range")
         self.m_max = m_max
         self.n_max = n_max
-        self.entries = [[z * z for z in _row_zeros(m, n_max)] for m in range(m_max + 1)]
+        self.entries = [[z * z for z in row] for row in _zeros(range(m_max + 1), n_max)]
         self._check()
 
     def _check(self):
@@ -424,21 +458,17 @@ class KernelMode:
         """Values on a broadcastable (r, theta) grid; output shape (..., k)."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        rad = np.vectorize(lambda x: bessel_j(self.cp.m, math.sqrt(self.s_nm) * x))(r)
+        rad = _bessel(self.cp.m, math.sqrt(self.s_nm) * r)
         ang_c = np.cos(self.cp.m * theta)
         ang_s = np.sin(self.cp.m * theta)
         return (rad * ang_c)[..., None] * self.a_vec + (rad * ang_s)[..., None] * self.b_vec
 
     def grid(self, resolution: int) -> list[list[float]]:
         """Rows (r, theta, u_1..u_k) over a polar grid, row-major in r then theta."""
-        rows = []
         rs = np.linspace(0.0, 1.0, resolution)
         ths = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-        for r in rs:
-            vals = self.sample(r, ths)
-            for t, v in zip(ths, vals):
-                rows.append([float(r), float(t)] + [float(x) for x in v])
-        return rows
+        vals = self.sample(rs[:, None], ths[None, :]).tolist()
+        return [[r, t, *u] for r, row in zip(rs.tolist(), vals) for t, u in zip(ths.tolist(), row)]
 
 
 def kernel_mode(cp: CriticalPoint, table: BesselZeroTable, a_vec, b_vec) -> KernelMode:

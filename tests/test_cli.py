@@ -32,6 +32,12 @@ def test_bessel_json(capsys):
     assert abs(data["entries"][0][0] - 5.783) < 2e-3
 
 
+def test_bessel_horizon_outside_supported_range_is_exit_2(capsys):
+    code, _, err = run_cli(capsys, "bessel", "--m-max", "2", "--n-max", "0")
+    assert code == 2
+    assert "supported range" in err
+
+
 def test_decompose(capsys):
     code, out, _ = run_cli(capsys, "--config", "bundled:six_membranes", "decompose")
     assert code == 0

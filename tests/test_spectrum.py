@@ -10,11 +10,14 @@ from equideg.errors import (
     InsufficientHorizon,
     NonMonotoneCurve,
 )
+import equideg.spectrum as spectrum
+from equideg.model_io import model_kernel_mode
 from equideg.spectrum import (
     MAX_ORDER,
     BesselZeroTable,
     EigenvalueCurve,
     a_priori_radius,
+    bessel_j,
     bessel_zero,
     bessel_zero_sq,
     critical_points,
@@ -44,14 +47,111 @@ def test_reference_table_reproduced(table):
         assert abs(table.value(n, m) - float(tok)) <= rounded_tolerance(tok), (m, n)
 
 
+def _oracle_series(m, x):
+    half = 0.5 * x
+    term = 1.0
+    for k in range(1, m + 1):
+        term *= half / k
+    total = term
+    k = 1
+    while True:
+        term *= -(half * half) / (k * (m + k))
+        total += term
+        if abs(term) < 1e-17 * max(abs(total), 1e-300):
+            return total
+        k += 1
+        if k > 400:
+            raise ConvergenceFailure(f"Bessel series for J_{m}({x}) did not converge")
+
+
+def _oracle_miller(m, x):
+    top = m + int(1.2 * x) + 24 + int(math.sqrt(40.0 * max(m, 1)))
+    jp = 0.0
+    jc = 1e-30
+    jm_val = 0.0
+    norm = 0.0
+    for k in range(top, 0, -1):
+        prev = (2.0 * k / x) * jc - jp
+        jp = jc
+        jc = prev
+        if k - 1 == m:
+            jm_val = jc
+        if (k - 1) % 2 == 0:
+            norm += 2.0 * jc if k - 1 > 0 else jc
+        if abs(jc) > 1e250:
+            jc *= 1e-250
+            jp *= 1e-250
+            jm_val *= 1e-250
+            norm *= 1e-250
+    return jm_val / norm
+
+
+def oracle_j(m, x):
+    # the scalar evaluator the array kernel replaced, kept verbatim as an
+    # independent oracle: one Python loop per value
+    if x < 0 or m < 0:
+        raise ValueError("need m >= 0 and x >= 0")
+    if x == 0.0:
+        return 1.0 if m == 0 else 0.0
+    if x <= max(12.0, 2.0 * math.sqrt(m)):
+        return _oracle_series(m, x)
+    return _oracle_miller(m, x)
+
+
+def _kernel_grid():
+    points = []
+    for m in list(range(0, 41)) + list(range(45, MAX_ORDER + 1, 5)) + [199]:
+        edge = max(12.0, 2.0 * math.sqrt(m))
+        xs = [0.0, 1e-3, 0.5, 1.0, 3.7, 11.5, 12.0, 12.5, 20.0, 97.3, 300.0,
+              2.0 * math.sqrt(m), edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1e9),
+              edge * (1 + 1e-9), edge + 0.37, m + 0.5, 1.1 * m + 7.0]
+        points += [(m, x) for x in xs]
+    return points
+
+
+def test_kernel_equals_scalar_oracle_on_a_dense_grid():
+    points = _kernel_grid()
+    ms = np.array([m for m, _ in points])
+    xs = np.array([x for _, x in points])
+    got = spectrum._bessel(ms, xs)
+    assert got.shape == xs.shape
+    for (m, x), g in zip(points, got.tolist()):
+        assert g == oracle_j(m, x), (m, x)
+    # the shells agree with the kernel, and a batch is the same element by element
+    assert bessel_j(7, 13.25) == oracle_j(7, 13.25)
+    assert spectrum._bessel(ms[::-1], xs[::-1]).tolist() == got[::-1].tolist()
+
+
+def test_kernel_rescales_like_the_oracle():
+    # just above x = 2 sqrt(200) the m = 200 recurrence passes 1e250 and rescales
+    x = math.nextafter(2.0 * math.sqrt(200), 1e9)
+    assert spectrum._bessel(200, x) == oracle_j(200, x)
+    assert spectrum._bessel([200, 0], [x + 0.25, x]).tolist() == [oracle_j(200, x + 0.25),
+                                                                  oracle_j(0, x)]
+
+
+@pytest.mark.parametrize("m, x", [(-1, 1.0), (0, -1.0), (0, math.inf), (0, math.nan), (1.5, 2.0)])
+def test_kernel_rejects_bad_arguments(m, x):
+    with pytest.raises(ValueError):
+        bessel_j(m, x)
+
+
+def test_series_out_of_its_range_is_a_convergence_failure():
+    # far outside the series' range its terms still grow at the 400th: the
+    # kernel raises where the scalar oracle does
+    for series in (lambda: spectrum._series(np.array([0.0]), np.array([700.0])),
+                   lambda: _oracle_series(0, 700.0)):
+        with pytest.raises(ConvergenceFailure, match=r"J_0\(700.0\) did not converge"):
+            series()
+
+
 def test_first_zero_against_independent_bisection(table):
     # independent oracle: bisection on the series-evaluated J_0 over [2, 3]
-    from equideg.spectrum import _bessel_series
     a, b = 2.0, 3.0
-    fa = _bessel_series(0, a)
+    fa = _oracle_series(0, a)
     for _ in range(80):
         mid = 0.5 * (a + b)
-        fm = _bessel_series(0, mid)
+        fm = _oracle_series(0, mid)
         if fa * fm <= 0:
             b = mid
         else:
@@ -62,11 +162,11 @@ def test_first_zero_against_independent_bisection(table):
 
 
 def test_series_and_recurrence_regimes_agree():
-    import math
     for m in (0, 1, 5, 11):
         x = max(12.0, 2.0 * math.sqrt(m))  # boundary of the two evaluation regimes
-        from equideg.spectrum import _bessel_miller, _bessel_series
-        assert abs(_bessel_series(m, x) - _bessel_miller(m, x)) < 1e-12
+        series = spectrum._series(np.array([float(m)]), np.array([x]))[0]
+        miller = spectrum._miller(np.array([float(m)]), np.array([x]))[0]
+        assert abs(series - miller) < 1e-12
 
 
 def test_watson_bound_up_to_20():
@@ -257,7 +357,9 @@ def test_bessel_table_check_raises(corrupt, message):
 
 
 @pytest.mark.parametrize("m, n", [(0, 1), (0, 200), (1, 200), (30, 20), (100, 50),
-                                  (200, 1), (200, 200)])
+                                  (200, 1), (200, 200),
+                                  # below x = 12, where the series cancels (ROADMAP item 1)
+                                  (0, 4), (1, 3), (3, 2), (5, 1), (7, 1)])
 def test_bessel_zero_against_mpmath(m, n):
     mpmath = pytest.importorskip("mpmath")
     want = float(mpmath.besseljzero(m, n))
@@ -265,9 +367,10 @@ def test_bessel_zero_against_mpmath(m, n):
 
 
 def _rescan_zero(m, n):
-    # the per-zero rescan the row sweep replaced, kept as an oracle: every call
-    # scans from x = m in unit steps and polishes the n-th bracket on its own
-    from equideg.spectrum import bessel_j
+    # the per-zero rescan the row sweep replaced, kept as an oracle on the scalar
+    # oracle_j: every call scans from x = m in unit steps and polishes the n-th
+    # bracket on its own
+    bessel_j = oracle_j
     x = max(m, 1e-3)
     f_lo = bessel_j(m, x)
     found = 0
@@ -305,11 +408,13 @@ def _rescan_zero(m, n):
 
 
 def test_table_is_bit_identical_to_per_zero_rescan():
-    table = BesselZeroTable(12, 12)
-    for m in range(13):
-        for n in range(1, 13):
-            z = _rescan_zero(m, n)
-            assert table.entries[m][n - 1] == z * z, (m, n)
+    # the default horizon and triangle_wide's
+    for horizon in (12, 24):
+        table = BesselZeroTable(horizon, horizon)
+        for m in range(horizon + 1):
+            for n in range(1, horizon + 1):
+                z = _rescan_zero(m, n)
+                assert table.entries[m][n - 1] == z * z, (horizon, m, n)
 
 
 @pytest.mark.parametrize("m, n", [(0, 40), (1, 33), (3, 17), (7, 40), (12, 1), (15, 25),
@@ -319,16 +424,45 @@ def test_bessel_zero_is_bit_identical_to_per_zero_rescan(m, n):
 
 
 def test_table_sweeps_each_row_once(monkeypatch):
-    # a work count, not a timing: 56,583 bessel_j calls when every zero
-    # rescanned its row from x = m
-    import equideg.spectrum as spectrum
-    calls = [0]
-    bessel_j = spectrum.bessel_j
+    # a work count, not a timing: 56,583 evaluations of J when every zero
+    # rescanned its row from x = m, about 31,000 for one sweep per row; and
+    # the whole table in a few dozen passes of the array kernel
+    calls = [0, 0]
+    kernel = spectrum._bessel
 
     def counted(m, x):
-        calls[0] += 1
-        return bessel_j(m, x)
+        calls[0] += np.size(x)
+        calls[1] += 1
+        return kernel(m, x)
 
-    monkeypatch.setattr(spectrum, "bessel_j", counted)
+    monkeypatch.setattr(spectrum, "_bessel", counted)
     BesselZeroTable(24, 24)
     assert 0 < calls[0] < 35000
+    assert calls[1] < 150
+
+
+def test_unbracketed_zero_is_a_convergence_failure(monkeypatch):
+    monkeypatch.setattr(spectrum, "_bessel", lambda m, x: np.ones(np.shape(x)))
+    with pytest.raises(ConvergenceFailure, match="could not bracket zero 1 of J_0"):
+        BesselZeroTable(0, 200)
+
+
+@pytest.mark.parametrize("m_max, n_max", [(-1, 3), (3, 0), (MAX_ORDER + 1, 3), (3, 201)])
+def test_table_horizon_outside_supported_range(m_max, n_max):
+    with pytest.raises(ValueError, match="supported range"):
+        BesselZeroTable(m_max, n_max)
+
+
+def test_kernel_mode_grid_equals_scalar_oracle(model):
+    km = model_kernel_mode(model, (1, 3, 2), "(D6^D3 x^D4 D4p)")
+    res = 24
+    rs = np.linspace(0.0, 1.0, res)
+    ths = np.linspace(0.0, 2.0 * math.pi, res, endpoint=False)
+    m = km.cp.m
+    want = []
+    for r in rs:
+        rad = oracle_j(m, math.sqrt(km.s_nm) * r)
+        vals = ((rad * np.cos(m * ths))[:, None] * km.a_vec
+                + (rad * np.sin(m * ths))[:, None] * km.b_vec)
+        want += [[float(r), float(t)] + [float(v) for v in row] for t, row in zip(ths, vals)]
+    assert km.grid(res) == want
