@@ -6,7 +6,7 @@ product in the Burnside ring of the finite factor) comes from solve_marks,
 the triangular solve against the table of marks phi_L(U) = n(L, U) |W(U)|
 over the subconjugation order; containment counts and intersections are
 delegated to the orbit-type layer.  Generator products are memoized per
-unordered pair.
+unordered pair, and each intersection part once per representative.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .orbit_types import (
     SubgroupG,
     ambient_weyl_order,
     coeff_scale,
+    intersection_elems,
     intersections,
     leq,
     n_amalgam,
@@ -208,10 +209,18 @@ def _resolve_recurrence(ctx: AmbientContext, a: OrbitType, b: OrbitType,
 
 def _product_finite(ctx: AmbientContext, a: OrbitType, b: OrbitType) -> dict[OrbitType, int]:
     cands: dict[int, OrbitType] = {}
-    for elems in intersections(a.rep, b.rep):
-        t = ctx.intern(SubgroupG(ctx.gamma, elems, a.rep.level))
+    for key in intersections(a.rep, b.rep):
+        t = _part_type(ctx, a, key)
         cands[t.key] = t
     return _resolve_recurrence(ctx, a, b, cands.values())
+
+
+@memoized
+def _part_type(ctx: AmbientContext, a: OrbitType, key: bytes) -> OrbitType:
+    """The type of the part of a's representative with membership key key (see
+    intersections): the products of a with different types share its parts,
+    so each part is built and interned once."""
+    return ctx.intern(SubgroupG(ctx.gamma, intersection_elems(a.rep, key), a.rep.level))
 
 
 def _product_mixed(ctx: AmbientContext, fin: OrbitType, o2t: OrbitType) -> dict[OrbitType, int]:

@@ -16,10 +16,11 @@ intersections.  An exact necessary test runs before every scan.  n(H, K) is
 |{x : x H x^-1 <= K}| / |N(K)| on the grid; one doubled scan gives it on
 the base grid (even steps) and the doubled one, which must agree.  Exact
 Fractions appear only at the API boundary (the conjugator of
-SubgroupG.conjugate, the angles elements_of returns).  The enumeration
-builds the Goursat candidates once per context, with their fixed-space
-dimensions in every irrep, and decides isotropy exactly, from those integer
-dimensions and containment between candidate classes.
+SubgroupG.conjugate, the angles elements_of returns).  The enumeration reads
+each Goursat candidate's fixed-space dimension in every irrep off its Goursat
+data, builds only those with a nonzero one, once per context, and decides
+isotropy exactly, from those integer dimensions and containment between
+candidate classes.
 
 Subgroups with a full O(2) factor (the only infinite ones we need) are kept
 symbolically and delegate everything to Gamma'.
@@ -236,10 +237,11 @@ class AmbientContext:
     type registry and one memo.  Immutable from the caller's point of view.
     Every query the layers memoize (containment, n(H, K), Weyl orders, folds,
     fixed dimensions, Goursat pools, orbit and maximal types, generator
-    products, basic degrees and degree products) keeps its results in
-    _memo[function name], filled by groups.memoized.  One re-entrant lock
-    guards the registry, which creates types under it, and the memo stores;
-    queries compute outside it, so concurrent queries are safe.
+    products and their parts, basic degrees and degree products) keeps its
+    results in _memo[function name], filled by groups.memoized.  One
+    re-entrant lock guards the registry, which creates types under it, and
+    the memo stores; queries compute outside it, so concurrent queries are
+    safe.
     """
 
     def __init__(self, gamma: FiniteGroup, irreps: dict[int, "Irrep"],
@@ -465,8 +467,9 @@ def _subconjugate(h: SubgroupG, k: SubgroupG) -> bool:
 
 
 def intersections(a: SubgroupG, b: SubgroupG):
-    """Distinct intersections of a with the grid conjugates of b, as element
-    sets of a (ticks over a.level), in scan order: steps, then rows.  Only
+    """Distinct intersections of a with the grid conjugates of b, in scan
+    order: steps, then rows.  Each is yielded as its packed membership key,
+    np.packbits over a's sorted elements; intersection_elems decodes it.  Only
     intersections holding a reflection can have a finite Weyl group, so the
     others are skipped."""
     M = math.lcm(a.level, b.level)
@@ -484,7 +487,14 @@ def intersections(a: SubgroupG, b: SubgroupG):
             key = buf[i * w:(i + 1) * w]
             if key not in seen:
                 seen.add(key)
-                yield frozenset(elems[x] for x in np.nonzero(rows[i])[0])
+                yield key
+
+
+def intersection_elems(a: SubgroupG, key: bytes) -> frozenset:
+    """The elements of a (ticks over a.level) in one key of intersections."""
+    elems = grid_arrays(a, a.level)[3]
+    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=len(elems))
+    return frozenset(elems[x] for x in np.flatnonzero(bits))
 
 
 # -- partial order, counts, Weyl groups --------------------------------------------
@@ -707,10 +717,11 @@ def fixed_space(ctx: AmbientContext, m: int, j: int, h: SubgroupG) -> np.ndarray
 # -- orbit type enumeration ------------------------------------------------------------
 
 class _Quotient:
-    """Coset structure K2 / Z2 inside Gamma'."""
+    """Coset structure K2 / Z2 inside Gamma', with the cosets' character sums
+    per active irrep and the isomorphism lists onto it per kernel shape."""
 
-    def __init__(self, gamma: FiniteGroup, k2_mask: int, z2_mask: int):
-        self.gamma = gamma
+    def __init__(self, ctx: AmbientContext, k2_mask: int, z2_mask: int):
+        self.gamma = gamma = ctx.gamma
         members = gamma.mask_elements(k2_mask)
         z2 = gamma.mask_elements(z2_mask)
         coset_of = {}
@@ -735,6 +746,9 @@ class _Quotient:
         self.size = len(cosets)
         self.mul_table = [[coset_of[gamma.mul[cosets[i][0]][cosets[j][0]]]
                            for j in range(self.size)] for i in range(self.size)]
+        self.char_sums = {j: [sum(ctx.irrep(j).chars[g] for g in c) for c in cosets]
+                          for j in ctx.active_js()}
+        self.isos: dict[str, list[dict]] = {}  # filled by _candidate_subgroups
 
     def order_of(self, i: int) -> int:
         n, x = 1, i
@@ -786,11 +800,13 @@ def _dihedral_isos(q2: _Quotient, r: int):
 
 
 def _candidate_subgroups(ctx: AmbientContext, amax: int, include_cyclic: bool):
-    """Goursat candidates for isotropy groups in W_m (x) V_j^- (amax = m * exponent)."""
+    """Goursat data (a1, shape, b, q2, iso) of the candidate isotropy groups in
+    W_m (x) V_j^- (amax = m * exponent); _build_candidate builds one."""
     gamma = ctx.gamma
     classes = gamma.subgroup_classes()
     all_subs = gamma.all_subgroups()
     normal: dict[int, list[int]] = {}  # class -> normal subgroups of its representative
+    quotients: dict[tuple[int, int], _Quotient] = {}
     for a1 in _divisors(amax):
         # kernel shapes inside D_{a1} (and Z_{a1} when cyclic types are wanted)
         shapes = []
@@ -803,20 +819,13 @@ def _candidate_subgroups(ctx: AmbientContext, amax: int, include_cyclic: bool):
             for b in _divisors(a1):
                 shapes.append(("cyclic", b))  # Z_b inside Z_{a1}, quotient Z_{a1/b}
         for shape, b in shapes:
-            if shape == "rotkernel":
-                q1_size, r = 2 * (a1 // b), a1 // b
-            elif shape == "halfdihedral":
-                q1_size, r = 2, 1
-            elif shape == "fulldihedral":
-                q1_size, r = 1, 0
-            else:
-                q1_size, r = a1 // b, 0
+            q1_size = (a1 // b) * (2 if shape == "rotkernel" else 1)
             for ci, cls in enumerate(classes):
                 k2_mask = cls.representative.mask
                 k2_order = cls.order
-                if k2_order % max(q1_size, 1) != 0:
+                if k2_order % q1_size != 0:
                     continue
-                z2_order = k2_order // max(q1_size, 1)
+                z2_order = k2_order // q1_size
                 if ci not in normal:
                     k2 = gamma.mask_elements(k2_mask)
                     normal[ci] = [z for z in all_subs if (z & ~k2_mask) == 0 and all(
@@ -824,46 +833,50 @@ def _candidate_subgroups(ctx: AmbientContext, amax: int, include_cyclic: bool):
                 for z2_mask in normal[ci]:
                     if bin(z2_mask).count("1") != z2_order:
                         continue
-                    q2 = _Quotient(gamma, k2_mask, z2_mask)
-                    if shape == "fulldihedral":
-                        isos = [{}] if q2.size == 1 else []
-                    elif shape == "cyclic":
-                        isos = _dihedral_isos(q2, 0) if q2.size == a1 // b else []
-                    elif shape == "halfdihedral":
-                        isos = _z2half_isos(q2)
-                    else:
-                        isos = _dihedral_isos(q2, r) if q2.size == 2 * r or (r == 1 and q2.size == 2) else []
-                    for iso in isos:
-                        yield _build_candidate(ctx, a1, shape, b, q2, iso)
+                    q2 = quotients.get((k2_mask, z2_mask))
+                    if q2 is None:
+                        q2 = quotients[k2_mask, z2_mask] = _Quotient(ctx, k2_mask, z2_mask)
+                    if shape not in q2.isos:
+                        q2.isos[shape] = _isos(q2, shape)
+                    for iso in q2.isos[shape]:
+                        yield a1, shape, b, q2, iso
 
 
-def _z2half_isos(q2: _Quotient):
-    if q2.size != 2:
-        return []
-    return [{(0, 0): 0, (0, 1): 1}]
+def _isos(q2: _Quotient, shape: str) -> list[dict]:
+    """Isomorphisms onto q2 from the quotient of D_{a1} (or Z_{a1}) by a
+    kernel of the given shape, which has the order of q2."""
+    if shape == "fulldihedral":
+        return [{(ROT, 0): 0}]
+    if shape == "halfdihedral":
+        return [{(ROT, 0): 0, (ROT, 1): 1}]
+    return _dihedral_isos(q2, q2.size // 2 if shape == "rotkernel" else 0)
+
+
+def _coset(shape: str, a1: int, b: int, iso: dict, kind: int, k: int) -> int:
+    """The coset of q2 that a Goursat candidate pairs with the O(2) element
+    (kind, k / a1): iso's image of its class modulo the kernel, which is
+    k mod a1 / b, and the kind only when the quotient is dihedral."""
+    return iso[(kind if shape == "rotkernel" else ROT, k % (a1 // b))]
 
 
 def _build_candidate(ctx: AmbientContext, a1: int, shape: str, b: int,
                      q2: _Quotient, iso: dict) -> SubgroupG:
-    elems = []
-    if shape == "cyclic":
-        mod = a1 // b
-        for k in range(a1):
-            cid = iso[(0, k % mod)] if mod > 1 else 0
-            for g in q2.cosets[cid]:
-                elems.append((ROT, k, g))
-    else:
-        for kind in (ROT, REF):
-            for k in range(a1):
-                if shape == "fulldihedral":
-                    cid = 0
-                elif shape == "halfdihedral":
-                    cid = iso[(0, k % 2)]
-                else:  # rotkernel Z_b, quotient D_{a1//b}
-                    cid = iso[(kind, k % (a1 // b))]
-                for g in q2.cosets[cid]:
-                    elems.append((kind, k, g))
-    return SubgroupG(ctx.gamma, elems, a1)
+    kinds = (ROT,) if shape == "cyclic" else (ROT, REF)
+    return SubgroupG(ctx.gamma, ((kind, k, g) for kind in kinds for k in range(a1)
+                                 for g in q2.cosets[_coset(shape, a1, b, iso, kind, k)]), a1)
+
+
+def _candidate_dims(m: int, a1: int, shape: str, b: int, q2: _Quotient,
+                    iso: dict) -> dict[int, int]:
+    """_fix_dims in every active irrep of the candidate _build_candidate would
+    build, without building it: the weight 2 cos(2 pi m k / a1) of each
+    rotation summed per coset of q2, against the cosets' character sums."""
+    weight = [0.0] * q2.size
+    for k in range(a1):
+        weight[_coset(shape, a1, b, iso, ROT, k)] += 2.0 * math.cos(TWO_PI * m * (k / a1))
+    order = (1 if shape == "cyclic" else 2) * a1 * len(q2.cosets[0])
+    return {j: _snap_int(sum(w * c for w, c in zip(weight, sums)) / order)
+            for j, sums in q2.char_sums.items()}
 
 
 def orbit_types(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool = False):
@@ -913,14 +926,14 @@ def _orbit_types_m0(ctx: AmbientContext, j: int):
 def _goursat_pool(ctx: AmbientContext, m: int, include_cyclic: bool):
     """The distinct std-position Goursat candidates at frequency m whose fixed
     space is nonzero in some active irrep, in candidate order, each with its
-    dim Fix per active irrep; built once per context."""
-    js = ctx.active_js()
+    dim Fix per active irrep; built once per context.  The dims come from the
+    Goursat data, so only the candidates kept are built."""
     pool, seen = [], set()
-    for h in _candidate_subgroups(ctx, m * ctx.exponent, include_cyclic):
-        dims = _fix_dims(ctx, h, m, js)
+    for data in _candidate_subgroups(ctx, m * ctx.exponent, include_cyclic):
+        dims = _candidate_dims(m, *data)
         if not any(dims.values()):
             continue
-        h = h.std_position()
+        h = _build_candidate(ctx, *data).std_position()
         if h not in seen:
             seen.add(h)
             pool.append([h, dims])

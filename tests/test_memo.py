@@ -5,11 +5,13 @@ import sys
 import threading
 
 import equideg.bifurcation as bif
+import equideg.burnside as burnside
 from equideg.bifurcation import local_invariant
 from equideg.burnside import generator_product
 from equideg.degrees import basic_degree
 from equideg.groups import memoized
 from equideg.model_io import bundled_model, run_report
+from equideg.orbit_types import SubgroupG, intersection_elems
 
 
 class _Owner:
@@ -74,6 +76,7 @@ def test_cold_report_memo_sizes():
     """The memo misses of one cold report of the shipped model equal the
     distinct queries the benchmark tracer counts: 563 n(H, K) pairs, six
     basic degrees and 45 folding profiles (5 crossings x 9 maximal types).
+    The generator products meet 346 distinct intersection parts.
 
     The problem holds 10 local invariants (5 crossings x 2 modes) where the
     tracer reads 15 distinct calls: its key keeps local_invariant(prob, cp)
@@ -84,6 +87,7 @@ def test_cold_report_memo_sizes():
     run_report(model)
     assert len(model.ctx._memo["n_amalgam"]) == 563
     assert len(model.ctx._memo["basic_degree"]) == 6
+    assert len(model.ctx._memo["_part_type"]) == 346
     sizes = {name: len(table) for name, table in prob._memo.items()}
     assert sizes == {"folding_profile": 45, "_local_invariant": 10}
     run_report(model)
@@ -106,3 +110,34 @@ def test_one_coefficient_pass_per_report(model, monkeypatch):
     run_report(model)
     assert len(calls) == 17
     assert len(set(calls)) == 17
+
+
+def test_products_build_each_part_once(monkeypatch):
+    """A cold report builds an intersection part of a generator product only
+    on a miss of the part memo: 346 SubgroupGs where building every
+    intersection row took 1,513.  Each entry, decoded afresh and interned,
+    is the type the memo holds."""
+    model = bundled_model()
+    built, inside = [], []
+    product, subgroup = burnside._product_finite, burnside.SubgroupG
+
+    def in_product(*args):
+        inside.append(True)
+        try:
+            return product(*args)
+        finally:
+            inside.pop()
+
+    def counting(*args):
+        if inside:
+            built.append(args)
+        return subgroup(*args)
+
+    monkeypatch.setattr(burnside, "_product_finite", in_product)
+    monkeypatch.setattr(burnside, "SubgroupG", counting)
+    run_report(model)
+    ctx = model.ctx
+    parts = ctx._memo["_part_type"]
+    assert 0 < len(built) == len(parts) <= 400
+    for (a, key), t in parts.items():
+        assert ctx.intern(SubgroupG(ctx.gamma, intersection_elems(a.rep, key), a.rep.level)) is t

@@ -12,6 +12,7 @@ from equideg.orbit_types import (
     ROT,
     AmbientContext,
     SubgroupG,
+    _build_candidate,
     _candidate_subgroups,
     ambient_weyl_order,
     elements_of,
@@ -256,7 +257,8 @@ def _check_isotropy_against_grid(ctx, include_non_phi0):
     for j in ctx.active_js():
         keys = {t.key for t in orbit_types(ctx, 1, j, include_non_phi0)}
         pool = {}
-        for h in _candidate_subgroups(ctx, ctx.exponent, include_cyclic=include_non_phi0):
+        for data in _candidate_subgroups(ctx, ctx.exponent, include_cyclic=include_non_phi0):
+            h = _build_candidate(ctx, *data)
             if _fixed_block(ctx, j, h).shape[2]:
                 t = ctx.intern(h)
                 if t.key not in pool:

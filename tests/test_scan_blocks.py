@@ -1,6 +1,7 @@
 """The blocked row-bit-table scan and the per-context Goursat pool, against
 test-local copies of the one-conjugator-per-step scan of packed codes and of
-the rebuild-per-irrep enumeration they replaced."""
+the rebuild-per-irrep enumeration they replaced, and the pool's filter on
+Goursat data against the fixed dimensions of the built candidates."""
 
 import functools
 import importlib
@@ -16,8 +17,11 @@ from equideg.orbit_types import (
     ROT,
     AmbientContext,
     SubgroupG,
+    _build_candidate,
+    _candidate_dims,
     _candidate_subgroups,
     _containing_counts,
+    _fix_dims,
     _goursat_pool,
     _isotropy_classes,
     _may_contain,
@@ -25,6 +29,7 @@ from equideg.orbit_types import (
     conjugate_in_g,
     fixed_dim_irrep,
     grid_arrays,
+    intersection_elems,
     intersections,
     leq,
     orbit_types,
@@ -156,7 +161,8 @@ def test_blocked_scan_matches_step_scan(which, block, monkeypatch):
             assert _normalizer_counts(h, grid_mult) == _step_normalizer_counts(h, grid_mult)
         for k in types:
             assert conjugate_in_g(h, k) == _step_conjugate_in_g(h, k)
-            assert list(intersections(h, k)) == _step_intersections(h, k)
+            parts = [intersection_elems(h, key) for key in intersections(h, k)]
+            assert parts == _step_intersections(h, k)
             for grid_mult in (1, 2):
                 got = _containing_counts(h, k, grid_mult)
                 assert got == _step_containing_counts(h, k, grid_mult)
@@ -195,10 +201,10 @@ def test_gamma_kernel_is_a_subgroup(which):
 
 # -- the rebuild-per-irrep enumeration ------------------------------------------
 
-def _char_fix_dim(ctx, h, j):
-    """dim (W_1 (x) V_j^-)^h by the character sum over h's rotations."""
+def _char_fix_dim(ctx, h, j, m=1):
+    """dim (W_m (x) V_j^-)^h by the character sum over h's rotations."""
     chars = ctx.irrep(j).chars
-    tot = sum(2.0 * np.cos(2 * np.pi * t / h.level) * chars[g]
+    tot = sum(2.0 * np.cos(2 * np.pi * m * t / h.level) * chars[g]
               for kind, t, g in h.elems if kind == ROT)
     return round(tot / h.order)
 
@@ -206,7 +212,8 @@ def _char_fix_dim(ctx, h, j):
 def _rebuilt_enum(ctx, j, include_non_phi0):
     """The m = 1 orbit types of irrep j, rebuilding the Goursat candidates."""
     pool, seen = {}, set()
-    for h in _candidate_subgroups(ctx, ctx.exponent, include_cyclic=include_non_phi0):
+    for data in _candidate_subgroups(ctx, ctx.exponent, include_cyclic=include_non_phi0):
+        h = _build_candidate(ctx, *data)
         if not _char_fix_dim(ctx, h, j):
             continue
         h = h.std_position()
@@ -218,6 +225,34 @@ def _rebuilt_enum(ctx, j, include_non_phi0):
     return sorted(_isotropy_classes(pool.values(), lambda t: dims[t.key], lambda t: t.order,
                                     lambda t, u: leq(ctx, t, u)),
                   key=lambda t: (t.order, t.symbol))
+
+
+@pytest.mark.parametrize("which", ["six", "triangle"])
+def test_pool_filter_matches_built_candidates(which):
+    """The dims the pool reads off each candidate's Goursat data equal the
+    fixed dimensions of the built candidate, by _fix_dims and by the test's
+    character sum, and the pool is the build-then-filter list entry for
+    entry."""
+    ctx = (bundled_model() if which == "six" else load_model(TRIANGLE)).ctx
+    js = ctx.active_js()
+    for m in (1, 2):
+        for include_cyclic in (False, True):
+            built, seen, candidates = [], set(), 0
+            for data in _candidate_subgroups(ctx, m * ctx.exponent, include_cyclic):
+                candidates += 1
+                h = _build_candidate(ctx, *data)
+                dims = _fix_dims(ctx, h, m, js)
+                assert _candidate_dims(m, *data) == dims, data[:3]
+                assert dims == {j: _char_fix_dim(ctx, h, j, m) for j in js}, data[:3]
+                h = h.std_position()
+                if any(dims.values()) and h not in seen:
+                    seen.add(h)
+                    built.append([h, dims])
+            pool = _goursat_pool(ctx, m, include_cyclic)
+            assert [(h.level, h.elems, dims) for h, dims in pool] == [
+                (h.level, h.elems, dims) for h, dims in built]
+            # the filter drops most candidates
+            assert 0 < 2 * len(pool) < candidates
 
 
 @pytest.mark.parametrize("include_non_phi0", [False, True])
@@ -243,10 +278,11 @@ def test_unknown_irrep_is_a_key_error(ctx, m):
 
 
 def test_cold_report_work_counts(monkeypatch):
-    """One Goursat pool per context and one normality test per subgroup
-    pair: a cold report builds each candidate once (2,050 of them) and
-    conjugates far fewer Gamma' masks than one pool per irrep did (6,150
-    candidates and 39,228 conjugations)."""
+    """One Goursat pool per context, filtered on the candidates' Goursat data,
+    and one normality test per subgroup pair: a cold report builds only the
+    408 of its 2,050 candidates with a nonzero fixed space (one pool per irrep
+    built 6,150) and conjugates far fewer Gamma' masks than one pool per irrep
+    did (39,228 conjugations)."""
     model = bundled_model()
     counts = {"build": 0, "conjugate_mask": 0}
 
@@ -260,7 +296,7 @@ def test_cold_report_work_counts(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "conjugate_mask",
                         counting("conjugate_mask", FiniteGroup.conjugate_mask))
     run_report(model)
-    assert 0 < counts["build"] <= 2100
+    assert 0 < counts["build"] <= 450
     assert 0 < counts["conjugate_mask"] <= 14000
 
 
