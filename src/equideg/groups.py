@@ -260,6 +260,14 @@ class FiniteGroup:
                     reached.append(c)
         return out
 
+    def generating_set(self, mask: int) -> list[int]:
+        """Generators of the subgroup `mask`, greedily by falling element order."""
+        gens, span = 0, 1
+        for x in sorted(self.mask_elements(mask), key=self.element_order, reverse=True):
+            if not (span >> x) & 1:
+                gens, span = gens | 1 << x, self.closure_mask(gens | 1 << x)
+        return self.mask_elements(gens)
+
     def subgroup_from_indices(self, indices: Iterable[int]) -> "Subgroup":
         mask = 1  # identity
         for i in indices:

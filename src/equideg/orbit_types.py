@@ -822,16 +822,14 @@ def _candidate_subgroups(ctx: AmbientContext, amax: int, include_cyclic: bool):
             q1_size = (a1 // b) * (2 if shape == "rotkernel" else 1)
             for ci, cls in enumerate(classes):
                 k2_mask = cls.representative.mask
-                k2_order = cls.order
-                if k2_order % q1_size != 0:
+                if cls.order % q1_size != 0:
                     continue
-                z2_order = k2_order // q1_size
-                if ci not in normal:
-                    k2 = gamma.mask_elements(k2_mask)
+                if ci not in normal:  # Z is normal when each generator of K2 fixes it
+                    gens = gamma.generating_set(k2_mask)
                     normal[ci] = [z for z in all_subs if (z & ~k2_mask) == 0 and all(
-                        gamma.conjugate_mask(z, x) == z for x in k2)]
+                        gamma.conjugate_mask(z, x) == z for x in gens)]
                 for z2_mask in normal[ci]:
-                    if bin(z2_mask).count("1") != z2_order:
+                    if bin(z2_mask).count("1") != cls.order // q1_size:
                         continue
                     q2 = quotients.get((k2_mask, z2_mask))
                     if q2 is None:

@@ -1,12 +1,12 @@
 """Dirichlet spectrum of the disc Laplacian and the model's eigenvalue curves.
 
 s_nm denotes the squared n-th positive zero of the Bessel function J_m; the
-linearization crosses eigenvalues where mu_j(alpha) = s_nm.  Bessel functions
-are evaluated by one array kernel, the ascending series for small argument
-and backward (Miller) recurrence otherwise, run element by element in
-lockstep.  A table of zeros sweeps all its orders together in unit steps from
-x ~ m for sign changes, then bisects every bracket of the table at once and
-gives each two Newton steps.
+linearization crosses eigenvalues where mu_j(alpha) = s_nm.  One array kernel
+evaluates Bessel functions element by element in lockstep: the ascending
+series for small argument, backward (Miller) recurrence otherwise.  A table
+of zeros sweeps all its orders together in unit steps from x ~ m for sign
+changes, then bisects every bracket of the table at once, two levels per
+kernel pass, and gives each two Newton steps of one kernel pass each.
 """
 
 from __future__ import annotations
@@ -80,21 +80,34 @@ def _miller(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     top = m + np.floor(1.2 * x) + 24 + np.floor(np.sqrt(40.0 * np.maximum(m, 1)))
     # every element runs from the highest top down; until its own top it holds
     # jp = jc = norm = 0, which the recurrence keeps, and there jc becomes 1e-30
-    starts, ends = set(top.tolist()), set(m.tolist())
-    jp, jc, jm, norm = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
-    for k in range(int(max(starts)), 0, -1):
+    starts, ends = _groups(top), _groups(m + 1.0)  # element indices by step k
+    jp, jc, jm, norm, t = (np.zeros_like(x) for _ in range(5))
+    # bound >= max |jc|, |jp| over the batch; a step grows it at most 2 (2k / min x + 1)-
+    # fold (the 2 covers rounding), so the 1e250 test runs only where it could fire
+    bound, growth = 1e-30, 2.0 / x.min()
+    for k in range(max(starts), 0, -1):
         if k in starts:
-            jc = np.where(top == float(k), 1e-30, jc)
-        jp, jc = jc, (2.0 * k / x) * jc - jp
-        if k - 1 in ends:
-            jm = np.where(m == k - 1.0, jc, jm)
+            jc[starts[k]] = 1e-30
+        # jc <- (2k / x) jc - jp, written over jp's buffer
+        jp, jc = jc, np.subtract(np.multiply(np.divide(2.0 * k, x, out=t), jc, out=t), jp, out=jp)
+        if k in ends:
+            jm[ends[k]] = jc[ends[k]]
         if (k - 1) % 2 == 0:
-            norm += 2.0 * jc if k > 1 else jc
-        big = np.abs(jc) > 1e250
-        if np.count_nonzero(big):
+            norm += np.multiply(2.0, jc, out=t) if k > 1 else jc
+        bound *= 2.0 * (growth * k + 1.0)
+        if bound > 1e250:
+            big = np.abs(jc) > 1e250
             for v in (jc, jp, jm, norm):
                 v[big] *= 1e-250
+            bound = max(np.abs(jc).max(), np.abs(jp).max(), 1e-30)
     return jm / norm
+
+
+def _groups(keys: np.ndarray) -> dict[int, np.ndarray]:
+    """Indices of equal integer-valued keys, by key."""
+    order = np.argsort(keys)
+    edges = [0, *(np.flatnonzero(np.diff(keys[order])) + 1).tolist(), len(keys)]
+    return {int(keys[order[lo]]): order[lo:hi] for lo, hi in zip(edges, edges[1:])}
 
 
 def bessel_zero(m: int, n: int) -> float:
@@ -141,24 +154,30 @@ def _zeros(orders: Sequence[int], count: int) -> list[list[float]]:
 
 def _polish(m: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
     """The zero of J_m in each [a, b], where fa = J_m(a) and J_m(b) differ in sign:
-    bisection to a width of 1e-14 x, then two Newton steps."""
-    x = np.empty_like(a)
-    idx, mb = np.arange(len(a)), m
-    for _ in range(200):
+    bisection to a width of 1e-14 x, then two Newton steps.  A kernel pass
+    evaluates a midpoint and both that can follow it and settles two levels,
+    bit for bit as one level at a time (the kernel is elementwise)."""
+    x, idx, mb = np.empty_like(a), np.arange(len(a)), m
+    for _ in range(100):
         if not len(idx):
             break
         mid = 0.5 * (a + b)
-        fm = _bessel(mb, mid)
-        done = (fm == 0.0) | ((b - a) < 1e-14 * mid)
-        left = fa * fm >= 0.0
-        a, b, fa = np.where(left, mid, a), np.where(left, b, mid), np.where(left, fm, fa)
-        if np.count_nonzero(done):
-            x[idx[done]] = mid[done]
-            idx, mb, a, b, fa = (v[~done] for v in (idx, mb, a, b, fa))
+        pts = np.stack([mid, 0.5 * (a + mid), 0.5 * (mid + b)])
+        f, pick, cols = _bessel(mb, pts), np.zeros(len(idx), dtype=int), np.arange(len(idx))
+        for _level in range(2):
+            mid, fm = pts[pick, cols], f[pick, cols]
+            done = (fm == 0.0) | ((b - a) < 1e-14 * mid)
+            left = fa * fm >= 0.0
+            a, b, fa = np.where(left, mid, a), np.where(left, b, mid), np.where(left, fm, fa)
+            pick = 1 + left  # the next level's midpoint: of [a, mid], or of [mid, b]
+            if np.count_nonzero(done):
+                x[idx[done]] = mid[done]
+                idx, mb, a, b, fa, pick, cols = (
+                    v[~done] for v in (idx, mb, a, b, fa, pick, cols))
     x[idx] = 0.5 * (a + b)
     # J_m' = (J_{m-1} - J_{m+1}) / 2, and J_0' = -J_1
     for _ in range(2):
-        f, lo, hi = _bessel(m, x), _bessel(np.abs(m - 1.0), x), _bessel(m + 1.0, x)
+        f, lo, hi = _bessel(np.stack([m, np.abs(m - 1.0), m + 1.0]), x)
         d = np.where(m == 0.0, -1.0 * hi, 0.5 * (lo - hi))
         step = d != 0.0
         x[step] -= f[step] / d[step]

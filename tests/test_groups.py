@@ -97,6 +97,19 @@ def test_subgroup_classes_s4(s4):
     assert orders == sorted(orders)
 
 
+@pytest.mark.parametrize("group", [symmetric_group(4), direct_product(symmetric_group(4), cyclic_group(2)),
+                                   symmetric_group(5)])
+def test_generating_set_generates_and_decides_normality(group):
+    subs = group.all_subgroups()
+    for mask in subs:
+        gens = group.generating_set(mask)
+        assert group.closure_mask(sum(1 << x for x in gens)) == mask
+        # a subgroup is normal in `mask` when the generators alone normalize it
+        below = [z for z in subs if (z & ~mask) == 0]
+        assert [z for z in below if all(group.conjugate_mask(z, x) == z for x in gens)] == [
+            z for z in below if all(group.conjugate_mask(z, x) == z for x in group.mask_elements(mask))]
+
+
 def test_subgroup_classes_z2():
     z2 = cyclic_group(2)
     assert len(subgroup_classes(z2)) == 2

@@ -64,6 +64,9 @@ def _oracle_series(m, x):
             raise ConvergenceFailure(f"Bessel series for J_{m}({x}) did not converge")
 
 
+_oracle_rescales = []  # (m, x, k) of every rescale the oracle makes
+
+
 def _oracle_miller(m, x):
     top = m + int(1.2 * x) + 24 + int(math.sqrt(40.0 * max(m, 1)))
     jp = 0.0
@@ -79,6 +82,7 @@ def _oracle_miller(m, x):
         if (k - 1) % 2 == 0:
             norm += 2.0 * jc if k - 1 > 0 else jc
         if abs(jc) > 1e250:
+            _oracle_rescales.append((m, x, k))
             jc *= 1e-250
             jp *= 1e-250
             jm_val *= 1e-250
@@ -128,6 +132,14 @@ def test_kernel_rescales_like_the_oracle():
     assert spectrum._bessel(200, x) == oracle_j(200, x)
     assert spectrum._bessel([200, 0], [x + 0.25, x]).tolist() == [oracle_j(200, x + 0.25),
                                                                   oracle_j(0, x)]
+    # one batch whose elements rescale at different steps of the recurrence, or never
+    points = [(m, math.nextafter(2.0 * math.sqrt(m), 1e9)) for m in (120, 150, 170, 180, 190, 200)]
+    points += [(0, 13.0), (3, 30.5), (7, 12.5), (160, 40.0)]
+    got = spectrum._bessel([m for m, _ in points], [x for _, x in points]).tolist()
+    _oracle_rescales.clear()
+    assert got == [oracle_j(m, x) for m, x in points]
+    steps = {m: k for m, _, k in _oracle_rescales}
+    assert set(steps) == {170, 180, 190, 200} and len(set(steps.values())) == 4
 
 
 @pytest.mark.parametrize("m, x", [(-1, 1.0), (0, -1.0), (0, math.inf), (0, math.nan), (1.5, 2.0)])
@@ -425,20 +437,69 @@ def test_bessel_zero_is_bit_identical_to_per_zero_rescan(m, n):
 
 def test_table_sweeps_each_row_once(monkeypatch):
     # a work count, not a timing: 56,583 evaluations of J when every zero
-    # rescanned its row from x = m, about 31,000 for one sweep per row; and
-    # the whole table in a few dozen passes of the array kernel
-    calls = [0, 0]
-    kernel = spectrum._bessel
+    # rescanned its row from x = m, 2,193 for one sweep of every row; the polish
+    # evaluates three points per bracket and pass for two bisection levels
+    # (42,114), and the whole table takes 30 passes of the array kernel
+    calls = {"sweep": 0, "polish": 0, "passes": 0}
+    phase = ["sweep"]
+    kernel, polish = spectrum._bessel, spectrum._polish
 
     def counted(m, x):
-        calls[0] += np.size(x)
-        calls[1] += 1
+        calls[phase[0]] += np.broadcast(m, x).size
+        calls["passes"] += 1
         return kernel(m, x)
 
+    def polishing(*args):
+        phase[0] = "polish"
+        return polish(*args)
+
     monkeypatch.setattr(spectrum, "_bessel", counted)
+    monkeypatch.setattr(spectrum, "_polish", polishing)
     BesselZeroTable(24, 24)
-    assert 0 < calls[0] < 35000
-    assert calls[1] < 150
+    assert 0 < calls["sweep"] <= 2500
+    assert 0 < calls["polish"] <= 43000
+    assert calls["passes"] <= 32
+
+
+def _one_level_polish(m, a, b, fa):
+    # the polish before it settled two bisection levels per kernel pass and
+    # evaluated J_m, J_|m-1| and J_m+1 in one, kept as an oracle on spectrum._bessel
+    x = np.empty_like(a)
+    idx, mb = np.arange(len(a)), m
+    for _ in range(200):
+        if not len(idx):
+            break
+        mid = 0.5 * (a + b)
+        fm = spectrum._bessel(mb, mid)
+        done = (fm == 0.0) | ((b - a) < 1e-14 * mid)
+        left = fa * fm >= 0.0
+        a, b, fa = np.where(left, mid, a), np.where(left, b, mid), np.where(left, fm, fa)
+        if np.count_nonzero(done):
+            x[idx[done]] = mid[done]
+            idx, mb, a, b, fa = (v[~done] for v in (idx, mb, a, b, fa))
+    x[idx] = 0.5 * (a + b)
+    for _ in range(2):
+        f = spectrum._bessel(m, x)
+        lo, hi = spectrum._bessel(np.abs(m - 1.0), x), spectrum._bessel(m + 1.0, x)
+        d = np.where(m == 0.0, -1.0 * hi, 0.5 * (lo - hi))
+        step = d != 0.0
+        x[step] -= f[step] / d[step]
+    return x
+
+
+@pytest.mark.parametrize("m_max, n_max", [(40, 40), (0, 200), (200, 3)])
+def test_polish_is_bit_identical_to_one_level_bisection(monkeypatch, m_max, n_max):
+    polish, seen = spectrum._polish, []
+
+    def recorded(*args):
+        seen.append((args, polish(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(spectrum, "_polish", recorded)
+    BesselZeroTable(m_max, n_max)
+    (args, got), = seen
+    assert len(got) == (m_max + 1) * n_max
+    assert got.tobytes() == _one_level_polish(*args).tobytes()
 
 
 def test_unbracketed_zero_is_a_convergence_failure(monkeypatch):
