@@ -3,7 +3,9 @@
 Everything here works with a concrete element list; elements are addressed by
 their integer index and subgroups are stored as bitmasks over those indices.
 Group orders in this package are tiny (the main client is S4 x Z2, order 48),
-so brute force with bitmask arithmetic is both simple and fast enough.
+so brute force with bitmask arithmetic is both simple and fast enough.  What a
+group derives from its elements (element classes, the subgroup lattice, its
+conjugacy classes and their Weyl orders) is a memoized query on the group.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ def memoized(fn=None, *, key=None):
     args, or under key(*args) when several argument tuples are one query.  A
     miss is computed outside owner._lock and stored under it with setdefault,
     so the first stored result wins.  Keyword calls are bound to positions
-    first; memoized functions take no defaults.
+    first; memoized functions take no defaults.  The owners are ambient
+    contexts, bifurcation problems, FiniteGroups and SubgroupGs; every
+    SubgroupG has its own _memo, and one class-level lock guards their stores.
     """
     if fn is None:
         return functools.partial(memoized, key=key)
@@ -127,15 +131,11 @@ class Permutation:
         if text in ("", "()", "e", "id"):
             return cls.identity(degree)
         chunks = re.findall(r"\(([^()]*)\)", text)
-        if not chunks or "".join(chunks).strip() == "":
-            if text != "()":
-                raise NonPermutationInput(f"cannot parse cycle notation: {text!r}")
-        cycles = []
-        for chunk in chunks:
-            pts = [p for p in re.split(r"[,\s]+", chunk.strip()) if p]
-            if len(pts) >= 2:
-                cycles.append([int(p) for p in pts])
-        return cls.from_cycles(degree, cycles, one_based=True)
+        pts = [[p for p in re.split(r"[,\s]+", chunk.strip()) if p] for chunk in chunks]
+        if (not any(pts) or re.sub(r"\([^()]*\)", "", text).strip()
+                or not all(re.fullmatch(r"[0-9]+", p) for cyc in pts for p in cyc)):
+            raise NonPermutationInput(f"cannot parse cycle notation: {text!r}")
+        return cls.from_cycles(degree, pts, one_based=True)
 
     def cycle_string(self, one_based: bool = True) -> str:
         seen = [False] * self.degree
@@ -201,11 +201,6 @@ class FiniteGroup:
         # conj_map[g][x] = g x g^-1
         self.conj_map = [[mul[g][mul[x][inv[g]]] for x in range(n)] for g in range(n)]
         self._lock = threading.Lock()
-        self._subgroups: Optional[list[int]] = None
-        self._subgroup_classes: Optional[list["SubgroupClass"]] = None
-        self._mask_class: Optional[dict[int, int]] = None
-        self._element_classes: Optional[list[list[int]]] = None
-        self._class_of_element: list[int] = []
         self._memo: dict[str, dict] = {}
 
     # -- element level -------------------------------------------------------
@@ -217,32 +212,32 @@ class FiniteGroup:
             n += 1
         return n
 
+    @memoized
     def conjugacy_classes(self) -> list[list[int]]:
         """Conjugacy classes of elements, as sorted index lists (identity first)."""
-        with self._lock:
-            if self._element_classes is None:
-                seen = [False] * self.order
-                classes = []
-                for x in range(self.order):
-                    if seen[x]:
-                        continue
-                    orbit = sorted({self.conj_map[g][x] for g in range(self.order)})
-                    for y in orbit:
-                        seen[y] = True
-                    classes.append(orbit)
-                classes.sort(key=lambda c: (self.element_order(c[0]), len(c), c[0]))
-                class_of = [0] * self.order
-                for k, cls in enumerate(classes):
-                    for y in cls:
-                        class_of[y] = k
-                self._class_of_element = class_of
-                self._element_classes = classes
-            return self._element_classes
+        seen = [False] * self.order
+        classes = []
+        for x in range(self.order):
+            if seen[x]:
+                continue
+            orbit = sorted({self.conj_map[g][x] for g in range(self.order)})
+            for y in orbit:
+                seen[y] = True
+            classes.append(orbit)
+        classes.sort(key=lambda c: (self.element_order(c[0]), len(c), c[0]))
+        return classes
+
+    @memoized
+    def _element_class_table(self) -> list[int]:
+        """[x] = index into conjugacy_classes() of element x's class."""
+        class_of = [0] * self.order
+        for k, cls in enumerate(self.conjugacy_classes()):
+            for y in cls:
+                class_of[y] = k
+        return class_of
 
     def element_class_index(self, x: int) -> int:
-        if not self._class_of_element:
-            self.conjugacy_classes()
-        return self._class_of_element[x]
+        return self._element_class_table()[x]
 
     # -- subgroup level (bitmask representation) -------------------------------
 
@@ -287,71 +282,60 @@ class FiniteGroup:
             m ^= low
         return out
 
+    @memoized
     def all_subgroups(self) -> list[int]:
         """Every subgroup, as a sorted list of bitmasks.
 
         Breadth-first over joins <H, g>, trying g once per pair of right
         cosets H.g and H.g^-1, since <H, hg> = <H, g> = <H, g^-1>.
         """
-        with self._lock:
-            if self._subgroups is None:
-                if self.order > DEFAULT_LATTICE_CAP:
-                    raise ClosureCapExceeded(
-                        f"subgroup lattice capped at order {DEFAULT_LATTICE_CAP}, group has {self.order}")
-                mul = self.mul
-                seen = {1}
-                queue = [1]
-                for mask in queue:
-                    members = self.mask_elements(mask)
-                    done = mask
-                    for g in range(1, self.order):
-                        if (done >> g) & 1:
-                            continue
-                        bigger = self.closure_mask(mask | (1 << g))
-                        if bigger not in seen:
-                            seen.add(bigger)
-                            queue.append(bigger)
-                        for x in (g, self.inv[g]):
-                            for h in members:
-                                done |= 1 << mul[h][x]
-                self._subgroups = sorted(seen)
-            return self._subgroups
+        if self.order > DEFAULT_LATTICE_CAP:
+            raise ClosureCapExceeded(
+                f"subgroup lattice capped at order {DEFAULT_LATTICE_CAP}, group has {self.order}")
+        mul = self.mul
+        seen = {1}
+        queue = [1]
+        for mask in queue:
+            members = self.mask_elements(mask)
+            done = mask
+            for g in range(1, self.order):
+                if (done >> g) & 1:
+                    continue
+                bigger = self.closure_mask(mask | (1 << g))
+                if bigger not in seen:
+                    seen.add(bigger)
+                    queue.append(bigger)
+                for x in (g, self.inv[g]):
+                    for h in members:
+                        done |= 1 << mul[h][x]
+        return sorted(seen)
+
+    @memoized
+    def subgroup_classes(self) -> list["SubgroupClass"]:
+        """Conjugacy classes of subgroups, by order, class size and least member."""
+        allsubs = self.all_subgroups()
+        unseen = set(allsubs)
+        classes = []
+        for mask in allsubs:
+            if mask not in unseen:
+                continue
+            orbit = {self.conjugate_mask(mask, g) for g in range(self.order)}
+            unseen -= orbit
+            classes.append((min(orbit), sorted(orbit)))
+        classes.sort(key=lambda it: (bin(it[0]).count("1"), len(it[1]), it[0]))
+        return [SubgroupClass(Subgroup(self, rep), tuple(orbit)) for rep, orbit in classes]
+
+    @memoized
+    def _subgroup_class_table(self) -> dict[int, int]:
+        """Subgroup mask -> index into subgroup_classes() of its class."""
+        return {m: k for k, cls in enumerate(self.subgroup_classes()) for m in cls.members}
 
     def subgroup_class_of(self, mask: int) -> int:
         """Index (into subgroup_classes()) of the class containing this subgroup."""
-        self.subgroup_classes()
-        got = self._mask_class.get(mask)
+        got = self._subgroup_class_table().get(mask)
         if got is None:
             raise NotASubgroup("mask is not a subgroup of this group")
         return got
-
-    def subgroup_classes(self) -> list["SubgroupClass"]:
-        with self._lock:
-            have = self._subgroup_classes is not None
-        if not have:
-            allsubs = self.all_subgroups()
-            with self._lock:
-                if self._subgroup_classes is None:
-                    unseen = set(allsubs)
-                    classes = []
-                    for mask in allsubs:
-                        if mask not in unseen:
-                            continue
-                        orbit = {self.conjugate_mask(mask, g) for g in range(self.order)}
-                        unseen -= orbit
-                        rep = min(orbit)
-                        classes.append((rep, sorted(orbit)))
-                    classes.sort(key=lambda it: (bin(it[0]).count("1"), len(it[1]), it[0]))
-                    out = []
-                    mask_class = {}
-                    for k, (rep, orbit) in enumerate(classes):
-                        out.append(SubgroupClass(Subgroup(self, rep), len(orbit), members=tuple(orbit)))
-                        for m in orbit:
-                            mask_class[m] = k
-                    self._subgroup_classes = out
-                    self._mask_class = mask_class
-            return self._subgroup_classes
-        return self._subgroup_classes
 
     def normalizer_mask(self, mask: int) -> int:
         out = 0
@@ -400,17 +384,18 @@ class Subgroup:
 @dataclass(frozen=True)
 class SubgroupClass:
     representative: Subgroup
-    class_size: int
-    name: Optional[str] = None
-    members: tuple[int, ...] = field(default=(), compare=False)
+    members: tuple[int, ...] = field(compare=False)  # every conjugate's mask, sorted
+
+    @property
+    def class_size(self) -> int:
+        return len(self.members)
 
     @property
     def order(self) -> int:
         return self.representative.order
 
     def __repr__(self) -> str:
-        tag = self.name or f"order{self.order}"
-        return f"SubgroupClass({tag}, size={self.class_size})"
+        return f"SubgroupClass(order{self.order}, size={self.class_size})"
 
 
 # -- public operations ---------------------------------------------------------
@@ -466,12 +451,7 @@ def n_count(g: FiniteGroup, h: Subgroup, k_class: SubgroupClass) -> int:
     """Number of members of k_class that contain h."""
     if h.parent is not g:
         raise NotASubgroup("subgroup belongs to a different group")
-    members = k_class.members
-    if not members:
-        rep = k_class.representative.mask
-        members = tuple(sorted({g.conjugate_mask(rep, x) for x in range(g.order)}))
-    hm = h.mask
-    return sum(1 for m in members if (hm & ~m) == 0)
+    return sum(1 for m in k_class.members if (h.mask & ~m) == 0)
 
 
 @dataclass(frozen=True)
@@ -492,9 +472,7 @@ class CharacterTable:
             reps = tuple(c[0] for c in classes)
         else:
             reps = tuple(class_representatives)
-        sizes = []
-        for r in reps:
-            sizes.append(len(classes[group.element_class_index(r)]))
+        sizes = [len(classes[group.element_class_index(r)]) for r in reps]
         rows_f = tuple(tuple(Fraction(v) for v in row) for row in rows)
         if labels is None:
             labels = tuple(f"chi{i}" for i in range(len(rows_f)))

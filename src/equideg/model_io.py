@@ -25,6 +25,7 @@ from .errors import (
     CrossCheckMismatch,
     EquivarianceViolation,
     NonMonotoneCurve,
+    NonPermutationInput,
     NonScalarIsotypicBlock,
     SchemaError,
 )
@@ -34,6 +35,8 @@ from .orbit_types import AmbientContext, fixed_space, fold, maximal_types, parse
 from .reps import (IsotypicComponent, antipodal_product, generic_invariant_matrix,
                    irreps_with_antipodal, isotypic_components)
 from .spectrum import (
+    MAX_INDEX,
+    MAX_ORDER,
     BesselZeroTable,
     CriticalPoint,
     EigenvalueCurve,
@@ -62,6 +65,13 @@ def _rows(v, width: int) -> bool:
     """Whether v is a list of rows of `width` numbers each."""
     return isinstance(v, list) and all(
         isinstance(r, list) and len(r) == width and all(map(_is_number, r)) for r in v)
+
+
+def _cycles(degree: int, texts: list, what: str) -> list[Permutation]:
+    try:
+        return [Permutation.parse(degree, s) for s in texts]
+    except NonPermutationInput as e:
+        raise SchemaError(f"{what}: {e}") from None
 
 
 def _matrix(v, what: str, k: int) -> np.ndarray:
@@ -129,11 +139,11 @@ def _assemble(cfg: dict) -> Model:
     gens = gcfg.get("gamma_generators", [])
     _require(isinstance(gens, list) and all(isinstance(s, str) for s in gens),
              "group.gamma_generators must be a list of cycle strings")
-    gens = [Permutation.parse(degree, s) for s in gens]
+    gens = _cycles(degree, gens, "group.gamma_generators")
     gamma = group_from_generators(degree, gens)
     _require(gcfg.get("antipodal", True) is True,
              "only antipodal models are supported (group.antipodal must be true)")
-    gamma_prime, _ = antipodal_product(gamma)
+    gamma_prime = antipodal_product(gamma)
 
     acfg = cfg["action"]
     if acfg.get("type") == "permutation":
@@ -168,7 +178,8 @@ def _assemble(cfg: dict) -> Model:
         _require(labels is None or (isinstance(labels, list) and len(labels) == len(rows)
                                     and all(isinstance(x, str) for x in labels)),
                  "character_table.labels must be a list of strings, one per row")
-        reps = [gamma.index[Permutation.parse(degree, s)] for s in reps]
+        reps = [gamma.index[p]
+                for p in _cycles(degree, reps, "character_table.class_representatives")]
         table = CharacterTable.from_rows(gamma, rows, labels, class_representatives=reps)
     if table is not None:
         components = isotypic_components(action, table)
@@ -214,25 +225,34 @@ def _assemble(cfg: dict) -> Model:
     hcfg = cfg.get("horizon", {})
     m_max, n_max = hcfg.get("m_max", 12), hcfg.get("n_max", 12)
     _require(all(isinstance(v, int) and not isinstance(v, bool) for v in (m_max, n_max))
-             and m_max >= 0 and n_max >= 1,
-             "horizon.m_max and horizon.n_max must be integers, m_max >= 0 and n_max >= 1")
+             and 0 <= m_max <= MAX_ORDER and 1 <= n_max <= MAX_INDEX,
+             "horizon.m_max and horizon.n_max must be integers, "
+             f"0 <= m_max <= {MAX_ORDER} and 1 <= n_max <= {MAX_INDEX}")
     sup_mu = max(c.codomain()[1] for c in curves)
     bessel = BesselZeroTable.sufficient_for(sup_mu, m_max, n_max)
     critical = critical_points(curves, bessel)
 
     names = None
     name_table = gcfg.get("subgroup_names", "auto")
-    if name_table == "s4xz2" or (name_table == "auto" and gamma_prime.order == 48
-                                 and degree == 4 and gamma.order == 24):
-        names = s4z2_class_names(gamma_prime)
-    elif isinstance(name_table, list):
+    is_s4 = degree == 4 and gamma.order == 24
+    if isinstance(name_table, list):
+        n = len(gamma_prime.subgroup_classes())
+        _require(len(name_table) == n and all(isinstance(x, str) for x in name_table),
+                 f"group.subgroup_names must list {n} names, one per subgroup class of Gamma x Z2")
         names = list(name_table)
+    else:
+        _require(name_table in ("auto", "s4xz2"),
+                 "group.subgroup_names must be 'auto', 's4xz2' or a list of names")
+        _require(name_table == "auto" or is_s4, "group.subgroup_names 's4xz2' needs Gamma = S4")
+        if is_s4:
+            names = s4z2_class_names(gamma_prime)
 
     irreps = irreps_with_antipodal(gamma, gamma_prime, action, components)
     ctx = AmbientContext(gamma_prime, irreps, names)
 
     an = cfg.get("analysis", {})
     mode = an.get("mode", "relative")
+    _require(mode in ("relative", "full"), "analysis.mode must be 'relative' or 'full'")
     k_fixed = an.get("k_fixed", True)
     _require(isinstance(k_fixed, bool), "analysis.k_fixed must be true or false")
     notes = cfg.get("notes", [])
@@ -355,12 +375,9 @@ def _element_terms(e: BurnsideElement) -> list[list]:
     return [[sym, c] for sym, c in e.sorted_terms()]
 
 
-def run_report(model: Model, modes: Optional[Sequence[str]] = None) -> dict:
-    """Full pipeline report; deterministic for a fixed config."""
+def run_report(model: Model) -> dict:
+    """Full pipeline report, invariants in both modes; deterministic for a fixed config."""
     prob = model.problem
-    modes = list(modes) if modes else ["relative", "full"]
-    if prob.mode not in modes:
-        modes.insert(0, prob.mode)
     report: dict = {
         "model": {
             "name": model.name,
@@ -391,7 +408,7 @@ def run_report(model: Model, modes: Optional[Sequence[str]] = None) -> dict:
             "reflection-paired fixed-point reduction, while all Burnside arithmetic "
             "stays in the full product ring")
     invariants_by_mode: dict[str, list] = {}
-    for mode in modes:
+    for mode in ("relative", "full"):
         for cp in model.critical:
             inv = bif.local_invariant(prob, cp, mode=mode)
             invariants_by_mode.setdefault(mode, []).append(inv)

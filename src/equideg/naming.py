@@ -59,9 +59,8 @@ def signed_element(gamma_prime: FiniteGroup, gamma_degree: int, cycles: str, sig
 
 
 def s4z2_class_names(gamma_prime: FiniteGroup, gamma_degree: int = 4) -> list[str]:
-    """Names for every subgroup class of S4 x Z2 (generated fallback elsewhere)."""
-    classes = gamma_prime.subgroup_classes()
-    names: list[str] = [""] * len(classes)
+    """Names for every subgroup class of S4 x Z2."""
+    names: list[str] = [""] * len(gamma_prime.subgroup_classes())
     for name, gens in S4Z2_NAMED_GENERATORS:
         idxs = [signed_element(gamma_prime, gamma_degree, c, s) for c, s in gens]
         sub = gamma_prime.subgroup_from_indices(idxs)
@@ -69,10 +68,6 @@ def s4z2_class_names(gamma_prime: FiniteGroup, gamma_degree: int = 4) -> list[st
         if names[ci]:
             raise ValueError(f"name collision: {names[ci]} and {name} hit the same class")
         names[ci] = name
-    by_order: dict[int, int] = {}
-    for ci, cls in enumerate(classes):
-        if not names[ci]:
-            idx = by_order.get(cls.order, 0)
-            by_order[cls.order] = idx + 1
-            names[ci] = f"U{cls.order}_{idx}"
+    if "" in names:
+        raise ValueError(f"{names.count('')} subgroup classes have no name")
     return names

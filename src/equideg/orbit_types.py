@@ -12,15 +12,16 @@ k's row-bit table at its own level: entry [c, v] has bit r set when
 r^-1 v r at O(2) code c lies in k, and one zero entry takes the codes off
 k's grid.  The AND of one entry per element of the scanned group settles
 all |Gamma'| rows of a step, and the entries' bits are the membership rows of
-intersections.  An exact necessary test runs before every scan.  n(H, K) is
-|{x : x H x^-1 <= K}| / |N(K)| on the grid; one doubled scan gives it on
-the base grid (even steps) and the doubled one, which must agree.  Exact
-Fractions appear only at the API boundary (the conjugator of
-SubgroupG.conjugate, the angles elements_of returns).  The enumeration reads
-each Goursat candidate's fixed-space dimension in every irrep off its Goursat
-data, builds only those with a nonzero one, once per context, and decides
-isotropy exactly, from those integer dimensions and containment between
-candidate classes.
+intersections.  A subgroup's element arrays, row table and normalizer counts
+are groups.memoized queries on it, each built once per subgroup.  An exact
+necessary test runs before every scan.  n(H, K) is |{x : x H x^-1 <= K}| /
+|N(K)| on the grid; one doubled scan gives it on the base grid (even steps)
+and the doubled one, which must agree.  Exact Fractions appear only at the
+API boundary (the conjugator of SubgroupG.conjugate, the angles elements_of
+returns).  The enumeration reads each Goursat candidate's fixed-space
+dimension in every irrep off its Goursat data, builds only those with a
+nonzero one, once per context, and decides isotropy exactly, from those
+integer dimensions and containment between candidate classes.
 
 Subgroups with a full O(2) factor (the only infinite ones we need) are kept
 symbolically and delegate everything to Gamma'.
@@ -87,7 +88,8 @@ class SubgroupG:
     """
 
     __slots__ = ("gamma", "elems", "level", "axes", "proj2_mask", "kern2_mask",
-                 "z1_rot_count", "z1_axes", "rot_order", "_hash", "_arrays", "_table", "_normal")
+                 "z1_rot_count", "z1_axes", "rot_order", "_hash", "_memo")
+    _lock = threading.Lock()  # guards the stores of every subgroup's _memo
 
     def __init__(self, gamma: FiniteGroup, elems: Iterable[tuple], level: int):
         elems = frozenset(elems)
@@ -127,10 +129,7 @@ class SubgroupG:
         self.z1_axes = frozenset(z1a)
         self.rot_order = len(rot)
         self._hash = hash(elems)
-        # scan memos: grid_arrays, _row_table, _normalizer_hits per grid
-        self._arrays = None
-        self._table = None
-        self._normal: dict[int, tuple[int, int]] = {}
+        self._memo: dict[str, dict] = {}
 
     @property
     def order(self) -> int:
@@ -368,51 +367,52 @@ class IrrepLabel:
 
 # -- element-level access ---------------------------------------------------------
 
-def elements_of(ctx: AmbientContext, t: OrbitType, axis_offset: Fraction = Fraction(0)):
-    """Explicit elements of one representative, with reflection axes shifted by
-    axis_offset * pi.  Only finite types have element lists."""
+def elements_of(ctx: AmbientContext, t: OrbitType):
+    """Explicit elements of one representative, angles in turns.  Only finite
+    types have element lists."""
     if not t.is_finite:
         raise InfiniteSubgroup(f"{t.symbol} contains a full O(2) factor")
     h = t.rep
-    if axis_offset:
-        h = h.conjugate(ROT, Fraction(axis_offset) / 2 % 1, 0)
     return [((kind, Fraction(t, h.level)), ctx.gamma.elements[g])
             for kind, t, g in sorted(h.elems)]
 
 
 # -- conjugation scans over the angle grid ---------------------------------------------
 
+@memoized
+def _elem_arrays(h: SubgroupG) -> tuple:
+    """(kinds, ticks, gammas, sorted elements), ticks over h.level."""
+    elems = sorted(h.elems)
+    return tuple(np.array([e[i] for e in elems], dtype=np.int32) for i in range(3)) + (elems,)
+
+
 def grid_arrays(h: SubgroupG, M: int):
     """(kinds, ticks, gammas, sorted elements) with angles as integers over
     1/M, for a multiple M of h.level."""
-    if h._arrays is None:
-        elems = sorted(h.elems)
-        h._arrays = tuple(np.array([e[i] for e in elems], dtype=np.int32)
-                          for i in range(3)) + (elems,)
-    kinds, ticks, gammas, elems = h._arrays
+    kinds, ticks, gammas, elems = _elem_arrays(h)
     return kinds, ticks * (M // h.level), gammas, elems
 
 
+@memoized
 def _inv_conj(gamma: FiniteGroup) -> np.ndarray:
     """[r, v] = r^-1 v r: the Gamma' part of conjugating by row r."""
     return np.array([gamma.conj_map[i] for i in gamma.inv], dtype=np.int64)
 
 
+@memoized
 def _row_table(k: SubgroupG) -> np.ndarray:
     """k's row-bit table at its own level L, shaped (2L + 1, |Gamma'|, bytes).
 
     Bit r of entry [c, v] (bit r % 8 of byte r // 8) is set when row r maps
     Gamma' element v into k at the O(2) code c = kind * L + tick, that is
     when (c, r^-1 v r) is in k.  Entry 2L, for the codes off k's grid, is
-    zero.  Built once per subgroup."""
-    if k._table is None:
-        L, n = k.level, k.gamma.order
-        kinds, ticks, gammas, _ = grid_arrays(k, L)
-        member = np.zeros((2 * L + 1, n), dtype=bool)
-        member[kinds * L + ticks, gammas] = True
-        k._table = np.packbits(member[:, _inv_conj(k.gamma)].transpose(0, 2, 1),
-                               axis=2, bitorder="little")
-    return k._table
+    zero."""
+    L, n = k.level, k.gamma.order
+    kinds, ticks, gammas, _ = grid_arrays(k, L)
+    member = np.zeros((2 * L + 1, n), dtype=bool)
+    member[kinds * L + ticks, gammas] = True
+    return np.packbits(member[:, _inv_conj(k.gamma)].transpose(0, 2, 1),
+                       axis=2, bitorder="little")
 
 
 # the scans' block size, in gathered table bytes
@@ -547,11 +547,10 @@ def _hit_counts(h: SubgroupG, k: SubgroupG, M: int) -> tuple[int, int]:
     return even, every
 
 
+@memoized
 def _normalizer_hits(k: SubgroupG, M: int) -> tuple[int, int]:
-    """_hit_counts of k into itself on the grid 1/M, memoized per M."""
-    if M not in k._normal:
-        k._normal[M] = _hit_counts(k, k, M)
-    return k._normal[M]
+    """_hit_counts of k into itself on the grid 1/M."""
+    return _hit_counts(k, k, M)
 
 
 def _containing_counts(h: SubgroupG, k: SubgroupG, grid_mult: int) -> tuple[int, int]:

@@ -16,19 +16,9 @@ from .groups import CharacterTable, FiniteGroup, OrthogonalAction, Permutation, 
 from .orbit_types import Irrep
 
 
-def antipodal_product(gamma: FiniteGroup) -> tuple[FiniteGroup, list[int]]:
-    """Gamma' = Gamma x Z2 plus the map (gamma index, sign index) -> Gamma' index.
-
-    Returns (gamma_prime, lookup) with lookup[2 * gi + (0 if +1 else 1)].
-    """
-    gamma_prime = direct_product(gamma, cyclic_group(2))
-    d = gamma.degree
-    lookup = [0] * (2 * gamma.order)
-    for gi, p in enumerate(gamma.elements):
-        for sbit, tail in ((0, [d, d + 1]), (1, [d + 1, d])):
-            q = Permutation(list(p.images) + tail)
-            lookup[2 * gi + sbit] = gamma_prime.index[q]
-    return gamma_prime, lookup
+def antipodal_product(gamma: FiniteGroup) -> FiniteGroup:
+    """Gamma' = Gamma x Z2, the sign swapping the two points after Gamma's."""
+    return direct_product(gamma, cyclic_group(2))
 
 
 def split_gamma_prime(gamma: FiniteGroup, gamma_prime: FiniteGroup) -> list[tuple[int, int]]:

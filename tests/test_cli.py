@@ -136,8 +136,18 @@ def test_malformed_section_is_exit_2(capsys, tmp_path, path, value):
     (("analysis", "k_fixed"), "false"),
     (("notes",), 5),
     (("notes",), "abc"),
+    (("group", "gamma_generators"), ["(1 2 3 4) x", "(2 3 4)"]),
+    (("group", "gamma_generators"), ["(1 a)", "(2 3 4)"]),
+    (("analysis", "mode"), "bogus"),
+    (("horizon", "m_max"), 500),
+    (("group", "subgroup_names"), ["a"]),
+    (("group", "subgroup_names"), 5),
+    (("character_table", "class_representatives"), ["()", "(1 2", "(1 2 3)", "(1 2)(3 4)",
+                                                    "(1 2 3 4)"]),
 ], ids=["n_max", "m_max", "rows", "zeta", "generator_images", "a_infinite",
-        "k_fixed_string", "notes_number", "notes_string"])
+        "k_fixed_string", "notes_number", "notes_string", "generator_trailing_junk",
+        "generator_letter", "mode_unknown", "m_max_too_large", "names_too_few",
+        "names_number", "class_representative_unclosed"])
 def test_malformed_field_is_exit_2(capsys, tmp_path, path, value):
     cfg = bundled_config("six_membranes")
     section = cfg
@@ -149,6 +159,14 @@ def test_malformed_field_is_exit_2(capsys, tmp_path, path, value):
     code, _, err = run_cli(capsys, "--config", str(p), "critical-points")
     assert code == 2
     assert err.startswith("config error:") and ".".join(path) in err
+
+
+def test_s4xz2_names_on_another_group_is_exit_2(capsys):
+    cfg = copy.deepcopy(TRIANGLE)
+    cfg["group"]["subgroup_names"] = "s4xz2"
+    code, _, err = run_cli(capsys, "--config", json.dumps(cfg), "critical-points")
+    assert code == 2
+    assert err.startswith("config error:") and "group.subgroup_names" in err
 
 
 def test_generator_images_breaking_relations_are_exit_2(capsys):

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,14 @@ def test_group_from_generators_s4(s4):
 def test_group_from_generators_empty():
     g = group_from_generators(4, [])
     assert g.order == 1
+
+
+def test_parse_rejects_text_outside_cycles():
+    assert Permutation.parse(4, "(1,2)(3 4)") == Permutation.parse(4, "(1 2)(3 4)")
+    assert Permutation.parse(4, "(2)").is_identity()
+    for text in ("(1 2 3) x", "x (1 2)", "(1 a)", "(1 2", "( )", "(1 -2)", "(1 5)"):
+        with pytest.raises(NonPermutationInput):
+            Permutation.parse(4, text)
 
 
 def test_bad_generator_rejected():
@@ -396,3 +406,42 @@ def test_generator_images_must_respect_relations():
     OrthogonalAction.from_permutation_images(s3, gens, [[1, 2, 0], [1, 0, 2]], 3)
     with pytest.raises(NonPermutationInput, match="relations"):
         OrthogonalAction.from_permutation_images(s3, gens, [[1, 0, 2], [1, 0, 2]], 3)
+
+
+def test_first_concurrent_queries_share_one_result():
+    """Eight threads make the first lattice, class and class-index queries of
+    a fresh S4 x Z2 at once, each in its own order; every thread gets the
+    objects the first store kept, and the group keeps no other cache."""
+    g = direct_product(symmetric_group(4), cyclic_group(2))
+    assert {k for k in vars(g) if k.startswith("_")} == {"_lock", "_memo"}
+    queries = [g.all_subgroups, g.subgroup_classes, g.conjugacy_classes,
+               lambda: g.subgroup_class_of((1 << g.order) - 1)]
+    seen = [None] * 8
+    start = threading.Barrier(8)
+
+    def work(i):
+        start.wait()
+        order = queries[i % 4:] + queries[:i % 4]
+        got = {q: q() for q in order}
+        seen[i] = [got[q] for q in queries]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    subs, classes, elem_classes, whole = seen[0]
+    assert len(subs) == 98 and len(classes) == 33 and whole == 32
+    for got in seen:
+        assert got[0] is subs and got[1] is classes and got[2] is elem_classes
+        assert got[3] == whole
+    assert g.all_subgroups() is subs and g.subgroup_classes() is classes
+    for k, cls in enumerate(classes):
+        assert cls.class_size == len(cls.members)
+        assert all(g.subgroup_class_of(m) == k for m in cls.members)

@@ -1,6 +1,8 @@
 """The one memo primitive, groups.memoized, and the query tables it keeps in
 each context's _memo."""
 
+import functools
+import importlib
 import sys
 import threading
 
@@ -12,6 +14,9 @@ from equideg.degrees import basic_degree
 from equideg.groups import memoized
 from equideg.model_io import bundled_model, run_report
 from equideg.orbit_types import SubgroupG, intersection_elems
+
+# the package's orbit_types function hides the module of the same name
+ot = importlib.import_module("equideg.orbit_types")
 
 
 class _Owner:
@@ -141,3 +146,38 @@ def test_products_build_each_part_once(monkeypatch):
     assert 0 < len(built) == len(parts) <= 400
     for (a, key), t in parts.items():
         assert ctx.intern(SubgroupG(ctx.gamma, intersection_elems(a.rep, key), a.rep.level)) is t
+
+
+def _count_builds(monkeypatch, name):
+    """Put the query orbit_types.<name> back in place around a body that
+    records (owner, args) on each miss, and return that record."""
+    raw = getattr(ot, name).__wrapped__
+    builds = []
+
+    @functools.wraps(raw)
+    def body(owner, *args):
+        builds.append((owner, args))
+        return raw(owner, *args)
+
+    monkeypatch.setattr(ot, name, memoized(body))
+    return builds
+
+
+def test_cold_report_builds_each_scan_table_once(monkeypatch):
+    """One cold report builds the Gamma' conjugation index once, where each
+    row table used to rebuild it, and each scanned subgroup's row table and
+    normalizer counts once per subgroup (and grid)."""
+    inv = _count_builds(monkeypatch, "_inv_conj")
+    tables = _count_builds(monkeypatch, "_row_table")
+    normal = _count_builds(monkeypatch, "_normalizer_hits")
+    model = bundled_model()
+    run_report(model)
+    assert len(inv) == 1 and inv[0][0] is model.ctx.gamma
+    assert len(tables) == len({id(k) for k, _ in tables}) == 175
+    assert 0 < len(normal) == len({(id(k), args) for k, args in normal})
+    run_report(model)
+    assert len(inv) == 1 and len(tables) == 175
+
+
+def test_subgroups_keep_every_cache_in_their_memo():
+    assert {s for s in SubgroupG.__slots__ if s.startswith("_")} == {"_hash", "_memo"}

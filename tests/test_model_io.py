@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from equideg.errors import (
+    ConfigError,
     EquivarianceViolation,
     NonMonotoneCurve,
     NonScalarIsotypicBlock,
@@ -99,6 +100,19 @@ def test_schema_errors():
         load_model({"group": {"degree": 4}})
     with pytest.raises(SchemaError):
         load_model("{ not json")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("group", "gamma_generators", ["(1 2 3 4)", "(2 3 4) x"]),
+    ("analysis", "mode", "bogus"),
+    ("horizon", "n_max", 10 ** 6),
+    ("group", "subgroup_names", ["Z1"] * 32),
+])
+def test_malformed_field_is_a_config_error_naming_it(section, key, value):
+    cfg = bundled_config("six_membranes")
+    cfg[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_model(cfg)
 
 
 def test_text_variant_has_empty_critical_set():

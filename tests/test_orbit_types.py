@@ -181,10 +181,10 @@ def test_elements_of_product_case(ctx, model):
     s4p = parse_symbol(ctx, "(D2^D1 x^S4 S4p)")
     els = elements_of(ctx, s4p)
     assert len(els) == s4p.order == 96
-    # axis offset shifts reflection angles by the stated multiple of pi
-    shifted = elements_of(ctx, s4p, Fraction(1, 3))
+    # conjugating by the rotation through c turns shifts each reflection angle by 2c
+    shifted = s4p.rep.conjugate(ROT, Fraction(1, 6), 0)
     axes = sorted(a for (kind, a), _ in els if kind != ROT)
-    axes_shifted = sorted(a for (kind, a), _ in shifted if kind != ROT)
+    axes_shifted = sorted(Fraction(t, shifted.level) for kind, t, _ in shifted.elems if kind != ROT)
     assert axes_shifted == sorted((a + Fraction(1, 3)) % 1 for a in axes)
 
 
