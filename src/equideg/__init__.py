@@ -19,13 +19,13 @@ from .bifurcation import (
     rabinowitz_sum,
     theorem_bounded_coeff,
 )
-from .burnside import BurnsideElement, coeff, multiply, unit
+from .burnside import BurnsideElement
 from .degrees import (
     BasicDegree,
     basic_degree,
     basic_degree_direct,
     coeff_fast,
-    degree_of_linearization,
+    degree_product,
     fold_element,
 )
 from .groups import (
@@ -41,7 +41,6 @@ from .groups import (
     group_from_generators,
     isotypic_decompose,
     n_count,
-    subgroup_classes,
     symmetric_group,
     weyl_order,
 )

@@ -2,9 +2,9 @@
 
 The invariant at a crossing is the difference of degree products over the
 negative-spectrum index sets on both sides.  Products are evaluated in the
-Burnside layer (brute force is normative); the frequency-folding statistics
-feed the closed-form coefficient rule, which is always cross-checked against
-the product value.
+Burnside layer (brute force is normative); the closed-form coefficient rule
+reads the marks of both sides' products, one BurnsideElement.mark per degree
+factor, and is always cross-checked against the product value.
 
 Folding profiles and local invariants are memoized on the problem (its _memo,
 filled by groups.memoized), so a report computes each once and shares them;
@@ -20,17 +20,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .burnside import BurnsideElement
-from .degrees import basic_degree
+from .degrees import basic_degree, degree_product
 from .errors import CrossCheckMismatch, NotIsolated
 from .groups import memoized
 from .orbit_types import (
     AmbientContext,
     OrbitType,
     ambient_weyl_order,
+    coeff_scale,
     fold,
     maximal_types,
-    n_amalgam,
-    x0_of,
 )
 from .spectrum import BesselZeroTable, CriticalPoint, EigenvalueCurve, index_sets
 
@@ -99,15 +98,6 @@ class BifurcationProblem:
         return out
 
 
-@memoized
-def degree_product(ctx: AmbientContext, factors: tuple[tuple[int, int], ...]) -> BurnsideElement:
-    """Product of the basic degrees deg(W_m (x) V_j^-) over the (m, j) in factors."""
-    out = BurnsideElement.unit(ctx)
-    for m, j in factors:
-        out = out * basic_degree(ctx, m, j).value
-    return out
-
-
 @dataclass(frozen=True)
 class LocalInvariant:
     cp_id: tuple[int, int, int]
@@ -139,7 +129,10 @@ class FoldingProfile:
     indicator holds the parity-change indicator of the crossing counts;
     signed_indicator folds in the parity of lower-alpha same-frequency
     crossings (the sign convention of the bundled example's tables); m_minus
-    and m_plus are the matching exponent counts entering the coefficient rule.
+    and m_plus count the same-frequency crossings on each side plus the
+    reduced degree factors whose mark at the fold is -1.  The report prints
+    all of these.  marks holds the marks (phi_u(rho^-), phi_u(rho^+)) of both
+    sides' degree products at the fold u, which theorem_bounded_coeff reads.
     """
 
     cp_id: tuple[int, int, int]
@@ -151,6 +144,7 @@ class FoldingProfile:
     m_minus: dict[int, int]
     m_plus: dict[int, int]
     s_max: Optional[int]
+    marks: dict[int, tuple[int, int]]
 
 
 @memoized
@@ -158,66 +152,56 @@ def folding_profile(prob: BifurcationProblem, cp: CriticalPoint, h: OrbitType) -
     """Crossing counts n^s, indicators i^s, and exponents m^s for (H) in M_1,
     in the problem's mode."""
     ctx = prob.ctx
-    lo, hi = prob.bracket(cp)
-    sig_lo = prob.sigma(lo)
-    sig_hi = prob.sigma(hi)
-    levels = sorted({m for _, m, _ in sig_lo} | {m for _, m, _ in sig_hi} | {cp.m})
-    n_minus, n_plus, indicator, signed, m_minus, m_plus = {}, {}, {}, {}, {}, {}
+    sides = [prob.sigma(a) for a in prob.bracket(cp)]
+    levels = sorted({m for sig in sides for _, m, _ in sig} | {cp.m})
+    n_minus, n_plus, indicator, signed, m_minus, m_plus, marks = {}, {}, {}, {}, {}, {}, {}
     for s in levels:
         if s == 0:
             continue
         u = fold(ctx, h, s)
-        nm_lo = sum(1 for n, m, j in sig_lo
-                    if m == s and basic_degree(ctx, m, j).value.coeff(u) != 0)
-        nm_hi = sum(1 for n, m, j in sig_hi
-                    if m == s and basic_degree(ctx, m, j).value.coeff(u) != 0)
-        n_minus[s] = nm_lo
-        n_plus[s] = nm_hi
-        if nm_lo % 2 == nm_hi % 2:
-            ind = 0
-        elif nm_lo % 2 == 0:
-            ind = 1
-        else:
-            ind = -1
-        indicator[s] = ind
-        prior = sum(1 for n, m, j in sig_lo if m == s)
-        signed[s] = ind * (-1) ** prior
-        flips_lo = _flip_count(prob, sig_lo, u)
-        flips_hi = _flip_count(prob, sig_hi, u)
-        m_minus[s] = prior + flips_lo
-        m_plus[s] = sum(1 for n, m, j in sig_hi if m == s) + flips_hi
+        at_s = [[j for _, m, j in sig if m == s] for sig in sides]
+        n_minus[s], n_plus[s] = (sum(1 for j in js if basic_degree(ctx, s, j).value.coeff(u))
+                                 for js in at_s)
+        # +1 when the count turns odd across the crossing, -1 when it turns even
+        indicator[s] = n_plus[s] % 2 - n_minus[s] % 2
+        signed[s] = indicator[s] * (-1) ** len(at_s[0])
+        flips = [_flip_count(prob, sig, u) for sig in sides]
+        m_minus[s], m_plus[s] = len(at_s[0]) + flips[0], len(at_s[1]) + flips[1]
+        marks[s] = ((-1) ** flips[0], (-1) ** flips[1])
     nonzero = [s for s, v in indicator.items() if v]
     return FoldingProfile(cp.id, h, n_minus, n_plus, indicator, signed, m_minus, m_plus,
-                          max(nonzero) if nonzero else None)
+                          max(nonzero) if nonzero else None, marks)
 
 
 def _flip_count(prob: BifurcationProblem, triples, u: OrbitType) -> int:
-    """Number of reduced degree factors whose non-unit terms fold the sign of
-    the u-coefficient (the product collapse rule behind the coefficient formula)."""
-    ctx = prob.ctx
+    """Number of reduced degree factors whose mark at u is -1; the mark of the
+    degree product is (-1) to this count, since marks are multiplicative."""
     flips = 0
     for m, j in prob.reduced_factors(triples):
-        phi = 1
-        for t, c in basic_degree(ctx, m, j).value.terms.items():
-            if t is ctx.unit or not t.is_finite:
-                continue
-            if u.order is not None and t.order is not None and u.order > t.order:
-                continue
-            phi += c * n_amalgam(ctx, u, t) * ambient_weyl_order(ctx, t)
+        phi = basic_degree(prob.ctx, m, j).value.mark(u)
         if phi == -1:
             flips += 1
         elif phi != 1:
             raise CrossCheckMismatch(
-                f"fold factor for {u.symbol} against deg({m},{j}) is {phi}, not +-1")
+                f"mark of deg({m},{j}) at {u.symbol} is {phi}, not +-1")
     return flips
 
 
 def theorem_bounded_coeff(prob: BifurcationProblem, cp: CriticalPoint, h: OrbitType,
                           s: int) -> int:
-    """Closed-form coefficient of the s-fold of h in the local invariant.
+    """Closed-form coefficient of the s-fold u of h in the local invariant.
 
     Requires the profile's top indicator to be nonzero; the value must agree
-    with the coefficient read from the product-computed invariant.
+    with the coefficient read from the product-computed invariant.  At
+    s = s_max the rule reads marks.  The mark phi_u of omega = rho^- - rho^+
+    is the sum of c_U n(u, U) |W(U)| over the types U >= u in omega.  The
+    unit terms cancel, and when omega holds no other type above u this is
+    phi_u(omega) = c_u |W(u)|.  Marks are ring homomorphisms and the mark of
+    each basic degree is +-1, so phi_u(rho^-+) = (-1) ** _flip_count, which
+    the profile keeps in its marks.  The coefficient in the table
+    presentation is then (phi_u(rho^-) - phi_u(rho^+)) * coeff_scale(u) /
+    |W(u)|; if omega does hold a type above u, the cross-check against the
+    product catches it.
     """
     prof = folding_profile(prob, cp, h)
     if prof.s_max is None:
@@ -227,7 +211,12 @@ def theorem_bounded_coeff(prob: BifurcationProblem, cp: CriticalPoint, h: OrbitT
         fast = 0
     elif s == prof.s_max:
         u = fold(prob.ctx, h, s)
-        fast = ((-1) ** prof.m_minus[s]) * prof.signed_indicator[s] * x0_of(prob.ctx, u)
+        lo, hi = prof.marks[s]
+        num, w = (lo - hi) * coeff_scale(prob.ctx, u), ambient_weyl_order(prob.ctx, u)
+        if num % w:
+            raise CrossCheckMismatch(
+                f"coeff of {h.symbol} fold {s} at {cp.id}: rule gives {num}/{w}, not an integer")
+        fast = num // w
     else:
         raise CrossCheckMismatch(f"coefficient rule stated only for s >= s_max, got {s}")
     brute = local_invariant(prob, cp).value.coeff(fold(prob.ctx, h, s))

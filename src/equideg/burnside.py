@@ -4,7 +4,8 @@ Elements are sparse integer combinations of orbit types.  Every element the
 package builds (a generator product here, a basic degree in degrees, a
 product in the Burnside ring of the finite factor) comes from solve_marks,
 the triangular solve against the table of marks phi_L(U) = n(L, U) |W(U)|
-over the subconjugation order; containment counts and intersections are
+over the subconjugation order, and BurnsideElement.mark reads an element's
+mark phi_L back off the same table; containment counts and intersections are
 delegated to the orbit-type layer.  Generator products are memoized per
 unordered pair, and each intersection part once per representative.
 """
@@ -100,6 +101,16 @@ class BurnsideElement:
     def coeff_ambient(self, t: OrbitType) -> int:
         return self.terms.get(t, 0)
 
+    def mark(self, L: OrbitType) -> int:
+        """The mark phi_L = sum of c_U n(L, U) |W(U)| over the terms (the unit
+        counts 1); phi_L is a ring homomorphism, and the marks at all L fix the
+        element.  A finite U whose order is not a multiple of |L| cannot
+        contain L and is skipped before any query."""
+        ctx = self.ctx
+        return sum(c if U is ctx.unit else c * _ambient_mark(ctx, L, U)
+                   for U, c in self.terms.items()
+                   if not U.is_finite or (L.is_finite and U.order % L.order == 0))
+
     # -- presentation -----------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[str, int]]:
@@ -127,18 +138,6 @@ def format_terms(terms) -> str:
             bits.append(f"- {-c}{sym}")
     text = " ".join(bits) if bits else "0"
     return text[2:] if text.startswith("+ ") else text
-
-
-def unit(ctx: AmbientContext) -> BurnsideElement:
-    return BurnsideElement.unit(ctx)
-
-
-def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
-    return a * b
-
-
-def coeff(a: BurnsideElement, t: OrbitType) -> int:
-    return a.coeff(t)
 
 
 # -- generator products ----------------------------------------------------------------

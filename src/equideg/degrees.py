@@ -4,13 +4,16 @@ The degree of -id on the unit ball of W_m (x) V_j^- is computed by
 burnside.solve_marks over the orbit-type poset at frequency 1 (or 0), with
 marks +-1 from the parity of the fixed dimensions, and transported to higher
 frequencies by the folding homomorphism; the direct computation at frequency
-m is kept as a debug cross-check.
+m is kept as a debug cross-check.  degree_product, memoized per factor list,
+is the one product of basic degrees.  The closed-form coefficient rules read
+marks (phi_u of a degree is +-1), and each is cross-checked against the
+literal product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .burnside import BurnsideElement, solve_ambient_marks
 from .errors import CrossCheckMismatch
@@ -68,14 +71,11 @@ def fold_element(ctx: AmbientContext, elem: BurnsideElement, s: int) -> Burnside
     return BurnsideElement(ctx, out)
 
 
-def degree_of_linearization(ctx: AmbientContext, triples: Iterable[tuple[int, int, int]],
-                            multiplicities: dict[int, int]) -> BurnsideElement:
-    """Product of basic degrees over the index set; even isotypic multiplicities
-    contribute the unit and are skipped."""
+@memoized
+def degree_product(ctx: AmbientContext, factors: tuple[tuple[int, int], ...]) -> BurnsideElement:
+    """Product of the basic degrees deg(W_m (x) V_j^-) over the (m, j) in factors."""
     out = BurnsideElement.unit(ctx)
-    for n, m, j in triples:
-        if multiplicities.get(j, 1) % 2 == 0:
-            continue
+    for m, j in factors:
         out = out * basic_degree(ctx, m, j).value
     return out
 
@@ -92,10 +92,7 @@ def coeff_fast(ctx: AmbientContext, h: OrbitType, s: int, js: Sequence[int]) -> 
                 f"{h.symbol} is not maximal in component {j}; fast path inapplicable")
     odd = sum(1 for j in js if fixed_dim_irrep(ctx, h, 1, j) % 2)
     fast = -x0_of(ctx, fold(ctx, h, s)) if odd % 2 else 0
-    prod = BurnsideElement.unit(ctx)
-    for j in js:
-        prod = prod * basic_degree(ctx, s, j).value
-    brute = prod.coeff(fold(ctx, h, s))
+    brute = degree_product(ctx, tuple((s, j) for j in js)).coeff(fold(ctx, h, s))
     if fast != brute:
         raise CrossCheckMismatch(
             f"coeff^({h.symbol} fold {s}) fast={fast} != product={brute}")

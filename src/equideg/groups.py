@@ -434,10 +434,6 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(d1 + d2, elems)
 
 
-def subgroup_classes(g: FiniteGroup) -> list[SubgroupClass]:
-    return g.subgroup_classes()
-
-
 def weyl_order(g: FiniteGroup, h: Subgroup) -> int:
     if h.parent is not g:
         raise NotASubgroup("subgroup belongs to a different group")

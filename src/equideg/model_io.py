@@ -178,8 +178,10 @@ def _assemble(cfg: dict) -> Model:
         _require(labels is None or (isinstance(labels, list) and len(labels) == len(rows)
                                     and all(isinstance(x, str) for x in labels)),
                  "character_table.labels must be a list of strings, one per row")
-        reps = [gamma.index[p]
-                for p in _cycles(degree, reps, "character_table.class_representatives")]
+        reps = _cycles(degree, reps, "character_table.class_representatives")
+        _require(all(p in gamma.index for p in reps),
+                 "character_table.class_representatives must be elements of the group")
+        reps = [gamma.index[p] for p in reps]
         table = CharacterTable.from_rows(gamma, rows, labels, class_representatives=reps)
     if table is not None:
         components = isotypic_components(action, table)

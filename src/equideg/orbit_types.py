@@ -18,10 +18,12 @@ necessary test runs before every scan.  n(H, K) is |{x : x H x^-1 <= K}| /
 |N(K)| on the grid; one doubled scan gives it on the base grid (even steps)
 and the doubled one, which must agree.  Exact Fractions appear only at the
 API boundary (the conjugator of SubgroupG.conjugate, the angles elements_of
-returns).  The enumeration reads each Goursat candidate's fixed-space
-dimension in every irrep off its Goursat data, builds only those with a
-nonzero one, once per context, and decides isotropy exactly, from those
-integer dimensions and containment between candidate classes.
+returns).  The enumeration covers only the classes with finite Weyl group
+(Phi_0), the ones the Burnside ring holds: its Goursat candidates have
+dihedral O(2)-projection.  It reads each candidate's fixed-space dimension
+in every irrep off its Goursat data, builds only those with a nonzero one,
+once per context, and decides isotropy exactly, from those integer
+dimensions and containment between candidate classes.
 
 Subgroups with a full O(2) factor (the only infinite ones we need) are kept
 symbolically and delegate everything to Gamma'.
@@ -198,7 +200,7 @@ def conjugate_in_g(h: SubgroupG, rep: SubgroupG) -> bool:
 class OrbitType:
     """A conjugacy class of closed subgroups, as handled by the Burnside layer.
 
-    kind is "finite" for dihedral/cyclic-projection subgroups (rep holds a
+    kind is "finite" for dihedral-projection subgroups (rep holds a
     standard-position representative) or "o2" for full-O(2) direct products
     O(2) x K2 (rep is None, k2_class indexes the Gamma' subgroup class).
     Types are interned, one object per class per context, so equality and
@@ -571,11 +573,6 @@ def _containing_counts(h: SubgroupG, k: SubgroupG, grid_mult: int) -> tuple[int,
     return hits[0] // normal[0], hits[1] // normal[1]
 
 
-def _count_containing(h: SubgroupG, k: SubgroupG, grid_mult: int) -> int:
-    """n(H, K) on the grid lcm(levels) * grid_mult."""
-    return _containing_counts(h, k, grid_mult)[1]
-
-
 @memoized
 def ambient_weyl_order(ctx: AmbientContext, t: OrbitType) -> int:
     """|N(H)/H| inside the literal product group O(2) x Gamma'."""
@@ -763,60 +760,23 @@ class _Quotient:
         return x
 
 
-def _dihedral_isos(q2: _Quotient, r: int):
-    """Isomorphisms D_r -> q2, as maps (kind j, index i) -> coset id.
-
-    D_r elements are encoded (j, i) = rho^i sigma^j with 0 <= i < r, j in {0,1}.
-    For r == 0 the source is the cyclic group Z_{|q2|} generated by rho.
-    """
-    out = []
-    if r == 0:
-        n = q2.size
-        for R in range(q2.size):
-            if q2.order_of(R) != n:
-                continue
-            out.append({(0, i): q2.power(R, i) for i in range(n)})
-        return out
-    if 2 * r != q2.size:
-        return []
-    for R in range(q2.size):
-        if q2.order_of(R) != max(r, 1):
-            continue
-        Rinv = q2.power(R, r - 1) if r > 1 else 0
-        for S in range(q2.size):
-            if S == 0 or q2.order_of(S) != 2:
-                continue
-            if q2.mul_table[q2.mul_table[S][R]][S] != Rinv:
-                continue
-            mapping = {}
-            for i in range(r):
-                Ri = q2.power(R, i)
-                mapping[(0, i)] = Ri
-                mapping[(1, i)] = q2.mul_table[Ri][S]
-            if len(set(mapping.values())) == q2.size:
-                out.append(mapping)
-    return out
-
-
-def _candidate_subgroups(ctx: AmbientContext, amax: int, include_cyclic: bool):
-    """Goursat data (a1, shape, b, q2, iso) of the candidate isotropy groups in
-    W_m (x) V_j^- (amax = m * exponent); _build_candidate builds one."""
+def _candidate_subgroups(ctx: AmbientContext, amax: int):
+    """Goursat data (a1, shape, b, q2, iso) of the candidate isotropy groups
+    with dihedral O(2)-projection D_{a1} in W_m (x) V_j^- (amax = m *
+    exponent); _build_candidate builds one."""
     gamma = ctx.gamma
     classes = gamma.subgroup_classes()
     all_subs = gamma.all_subgroups()
     normal: dict[int, list[int]] = {}  # class -> normal subgroups of its representative
     quotients: dict[tuple[int, int], _Quotient] = {}
     for a1 in _divisors(amax):
-        # kernel shapes inside D_{a1} (and Z_{a1} when cyclic types are wanted)
+        # kernel shapes inside D_{a1}
         shapes = []
         for b in _divisors(a1):
             shapes.append(("rotkernel", b))  # Z_b, quotient D_{a1/b}
         if a1 % 2 == 0:
             shapes.append(("halfdihedral", a1 // 2))  # D_{a1/2}, quotient Z_2
         shapes.append(("fulldihedral", a1))  # quotient trivial
-        if include_cyclic:
-            for b in _divisors(a1):
-                shapes.append(("cyclic", b))  # Z_b inside Z_{a1}, quotient Z_{a1/b}
         for shape, b in shapes:
             q1_size = (a1 // b) * (2 if shape == "rotkernel" else 1)
             for ci, cls in enumerate(classes):
@@ -840,13 +800,30 @@ def _candidate_subgroups(ctx: AmbientContext, amax: int, include_cyclic: bool):
 
 
 def _isos(q2: _Quotient, shape: str) -> list[dict]:
-    """Isomorphisms onto q2 from the quotient of D_{a1} (or Z_{a1}) by a
-    kernel of the given shape, which has the order of q2."""
+    """Isomorphisms onto q2 from the quotient of D_{a1} by a kernel of the
+    given shape, which has the order of q2, as maps (kind, index) -> coset id.
+    A rotation kernel leaves D_r, r = |q2| / 2, whose element rho^i sigma^j
+    is (j, i)."""
     if shape == "fulldihedral":
         return [{(ROT, 0): 0}]
     if shape == "halfdihedral":
         return [{(ROT, 0): 0, (ROT, 1): 1}]
-    return _dihedral_isos(q2, q2.size // 2 if shape == "rotkernel" else 0)
+    out, r = [], q2.size // 2
+    for R in range(q2.size):
+        if q2.order_of(R) != r:
+            continue
+        Rinv = q2.power(R, r - 1)
+        for S in range(q2.size):
+            if q2.order_of(S) != 2 or q2.mul_table[q2.mul_table[S][R]][S] != Rinv:
+                continue
+            mapping = {}
+            for i in range(r):
+                Ri = q2.power(R, i)
+                mapping[(0, i)] = Ri
+                mapping[(1, i)] = q2.mul_table[Ri][S]
+            if len(set(mapping.values())) == q2.size:
+                out.append(mapping)
+    return out
 
 
 def _coset(shape: str, a1: int, b: int, iso: dict, kind: int, k: int) -> int:
@@ -858,8 +835,7 @@ def _coset(shape: str, a1: int, b: int, iso: dict, kind: int, k: int) -> int:
 
 def _build_candidate(ctx: AmbientContext, a1: int, shape: str, b: int,
                      q2: _Quotient, iso: dict) -> SubgroupG:
-    kinds = (ROT,) if shape == "cyclic" else (ROT, REF)
-    return SubgroupG(ctx.gamma, ((kind, k, g) for kind in kinds for k in range(a1)
+    return SubgroupG(ctx.gamma, ((kind, k, g) for kind in (ROT, REF) for k in range(a1)
                                  for g in q2.cosets[_coset(shape, a1, b, iso, kind, k)]), a1)
 
 
@@ -871,35 +847,32 @@ def _candidate_dims(m: int, a1: int, shape: str, b: int, q2: _Quotient,
     weight = [0.0] * q2.size
     for k in range(a1):
         weight[_coset(shape, a1, b, iso, ROT, k)] += 2.0 * math.cos(TWO_PI * m * (k / a1))
-    order = (1 if shape == "cyclic" else 2) * a1 * len(q2.cosets[0])
+    order = 2 * a1 * len(q2.cosets[0])
     return {j: _snap_int(sum(w * c for w, c in zip(weight, sums)) / order)
             for j, sums in q2.char_sums.items()}
 
 
-def orbit_types(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool = False):
-    """Conjugacy classes of isotropy groups of nonzero points of W_m (x) V_j^-.
-
-    By default only classes with finite Weyl group (dihedral projection, plus
-    the full-O(2) classes at m = 0) are returned, which is what the Burnside
-    layer consumes; include_non_phi0 adds the cyclic-projection classes.
-    """
-    return list(_orbit_types(ctx, m, j, include_non_phi0))
+def orbit_types(ctx: AmbientContext, m: int, j: int):
+    """Conjugacy classes of isotropy groups of nonzero points of W_m (x) V_j^-
+    with finite Weyl group (Phi_0): dihedral O(2)-projection at m >= 1, full
+    O(2) at m = 0.  Only these occur in the Burnside ring."""
+    return list(_orbit_types(ctx, m, j))
 
 
 @memoized
-def _orbit_types(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool) -> tuple:
+def _orbit_types(ctx: AmbientContext, m: int, j: int) -> tuple:
     if m == 0:
         return tuple(_orbit_types_m0(ctx, j))
     if m == 1:
-        return tuple(_orbit_types_enum(ctx, 1, j, include_non_phi0))
-    return tuple(fold(ctx, t, m) for t in orbit_types(ctx, 1, j, include_non_phi0))
+        return tuple(_orbit_types_enum(ctx, 1, j))
+    return tuple(fold(ctx, t, m) for t in orbit_types(ctx, 1, j))
 
 
-def orbit_types_direct(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool = False):
+def orbit_types_direct(ctx: AmbientContext, m: int, j: int):
     """Debug cross-check: enumerate frequency-m orbit types without folding."""
     if m == 0:
         return _orbit_types_m0(ctx, j)
-    return _orbit_types_enum(ctx, m, j, include_non_phi0)
+    return _orbit_types_enum(ctx, m, j)
 
 
 def _isotropy_classes(pool, dim, order, below):
@@ -920,13 +893,13 @@ def _orbit_types_m0(ctx: AmbientContext, j: int):
 
 
 @memoized
-def _goursat_pool(ctx: AmbientContext, m: int, include_cyclic: bool):
+def _goursat_pool(ctx: AmbientContext, m: int):
     """The distinct std-position Goursat candidates at frequency m whose fixed
     space is nonzero in some active irrep, in candidate order, each with its
     dim Fix per active irrep; built once per context.  The dims come from the
     Goursat data, so only the candidates kept are built."""
     pool, seen = [], set()
-    for data in _candidate_subgroups(ctx, m * ctx.exponent, include_cyclic):
+    for data in _candidate_subgroups(ctx, m * ctx.exponent):
         dims = _candidate_dims(m, *data)
         if not any(dims.values()):
             continue
@@ -937,10 +910,10 @@ def _goursat_pool(ctx: AmbientContext, m: int, include_cyclic: bool):
     return pool
 
 
-def _orbit_types_enum(ctx: AmbientContext, m: int, j: int, include_non_phi0: bool):
+def _orbit_types_enum(ctx: AmbientContext, m: int, j: int):
     ctx.irrep(j)  # an unknown j is a KeyError here, as at m = 0
     pool, dims = {}, {}
-    for entry in _goursat_pool(ctx, m, include_non_phi0):
+    for entry in _goursat_pool(ctx, m):
         h, dim = entry[0], entry[1][j]
         if dim:
             t = ctx.intern(h)

@@ -2,14 +2,7 @@ import random
 
 import pytest
 
-from equideg.burnside import (
-    BurnsideElement,
-    coeff,
-    gamma_burnside_product,
-    multiply,
-    solve_marks,
-    unit,
-)
+from equideg.burnside import BurnsideElement, gamma_burnside_product, solve_marks
 from equideg.degrees import basic_degree
 from equideg.errors import NonIntegralCoefficient
 from equideg.groups import cyclic_group, direct_product, symmetric_group
@@ -47,12 +40,12 @@ def random_elements(ctx, count, seed=3, max_terms=2, max_coeff=2):
 
 
 def test_unit_laws(ctx):
-    u = unit(ctx)
-    assert coeff(u, ctx.unit) == 1
+    u = BurnsideElement.unit(ctx)
+    assert u.coeff(ctx.unit) == 1
     assert (u - u).is_zero()
     for x in random_elements(ctx, 10, seed=5):
-        assert multiply(u, x) == x
-        assert multiply(x, u) == x
+        assert u * x == x
+        assert x * u == x
 
 
 def test_coeff_of_inverse_sum_is_zero(ctx):
@@ -64,11 +57,25 @@ def test_coeff_of_inverse_sum_is_zero(ctx):
 
 
 def test_basic_degrees_are_involutive(ctx):
-    u = unit(ctx)
+    u = BurnsideElement.unit(ctx)
     for j in (0, 2, 3):
         for m in (0, 1, 3):
             d = basic_degree(ctx, m, j).value
             assert d * d == u, (m, j)
+
+
+def test_marks_are_parities_and_multiplicative(ctx):
+    """phi_L(deg(W_m (x) V_j^-)) = (-1) ** dim Fix_L(W_m (x) V_j^-) at every
+    type L, full-O(2) ones and the unit included, and phi_L(ab) = phi_L(a) phi_L(b)."""
+    from equideg.orbit_types import fixed_dim_irrep
+    pool = type_pool(ctx)
+    degrees = {(m, j): basic_degree(ctx, m, j).value for j in (0, 2, 3) for m in (0, 1)}
+    for (m, j), d in degrees.items():
+        for L in pool:
+            assert d.mark(L) == (-1) ** fixed_dim_irrep(ctx, L, m, j), (m, j, L)
+    a, b = degrees[1, 2], degrees[1, 3]
+    for L in (a * b).terms:
+        assert (a * b).mark(L) == a.mark(L) * b.mark(L), L
 
 
 def test_ring_axioms_on_random_elements(ctx):
@@ -124,7 +131,7 @@ def test_serialization_sorted(ctx):
 
 def test_unit_coefficient_cancellation_in_invariants(ctx):
     d32 = basic_degree(ctx, 3, 2).value
-    w = unit(ctx) - d32
+    w = BurnsideElement.unit(ctx) - d32
     assert w.coeff(ctx.unit) == 0
 
 
@@ -133,7 +140,7 @@ def test_scaled_coefficient_read(ctx):
     t = parse_symbol(ctx, "(D18^Z3 x^V4 S4p)")
     assert d32.coeff(t) == -2
     assert d32.coeff_ambient(t) == -1
-    w = unit(ctx) - d32
+    w = BurnsideElement.unit(ctx) - d32
     assert w.coeff(t) == 2
 
 

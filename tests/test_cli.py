@@ -126,7 +126,15 @@ def test_malformed_section_is_exit_2(capsys, tmp_path, path, value):
     assert err.startswith("config error:")
 
 
-@pytest.mark.parametrize("path, value", [
+# Gamma = Z3, so a class representative (1 2) is a permutation outside it
+Z3 = {**TRIANGLE,
+      "group": {"degree": 3, "gamma_generators": ["(1 2 3)"], "antipodal": True},
+      "action": {"type": "permutation", "generator_images": [[1, 2, 0]]},
+      "character_table": {"class_representatives": ["()", "(1 2 3)", "(1 3 2)"],
+                          "rows": [[1, 1, 1]]}}
+
+
+@pytest.mark.parametrize("base, path, value", [("six_membranes", p, v) for p, v in [
     (("horizon", "n_max"), -4),
     (("horizon", "m_max"), [1]),
     (("character_table", "rows"), 5),
@@ -144,12 +152,14 @@ def test_malformed_section_is_exit_2(capsys, tmp_path, path, value):
     (("group", "subgroup_names"), 5),
     (("character_table", "class_representatives"), ["()", "(1 2", "(1 2 3)", "(1 2)(3 4)",
                                                     "(1 2 3 4)"]),
+]] + [
+    (Z3, ("character_table", "class_representatives"), ["()", "(1 2)", "(1 3 2)"]),
 ], ids=["n_max", "m_max", "rows", "zeta", "generator_images", "a_infinite",
         "k_fixed_string", "notes_number", "notes_string", "generator_trailing_junk",
         "generator_letter", "mode_unknown", "m_max_too_large", "names_too_few",
-        "names_number", "class_representative_unclosed"])
-def test_malformed_field_is_exit_2(capsys, tmp_path, path, value):
-    cfg = bundled_config("six_membranes")
+        "names_number", "class_representative_unclosed", "class_representative_outside_gamma"])
+def test_malformed_field_is_exit_2(capsys, tmp_path, base, path, value):
+    cfg = bundled_config(base) if isinstance(base, str) else copy.deepcopy(base)
     section = cfg
     for key in path[:-1]:
         section = section[key]

@@ -1,13 +1,7 @@
 import pytest
 
 from equideg.burnside import BurnsideElement
-from equideg.degrees import (
-    basic_degree,
-    basic_degree_direct,
-    coeff_fast,
-    degree_of_linearization,
-    fold_element,
-)
+from equideg.degrees import basic_degree, basic_degree_direct, coeff_fast, fold_element
 from equideg.errors import CrossCheckMismatch
 from equideg.orbit_types import fixed_dim_irrep, maximal_types, parse_symbol
 
@@ -81,17 +75,15 @@ def test_coeff_fast_rejects_non_maximal(ctx):
         coeff_fast(ctx, h, 1, [2])
 
 
-def test_degree_of_linearization(ctx, model):
+def test_degree_of_linearization(ctx, prob):
     u = BurnsideElement.unit(ctx)
-    mults = {0: 1, 2: 1, 3: 1}
-    assert degree_of_linearization(ctx, [], mults) == u
-    first = model.critical[0]
-    assert first.id == (1, 3, 2)
-    got = degree_of_linearization(ctx, [first.id[:3]], mults)
-    # id carries (n, m, j); the degree only sees (m, j)
-    got = degree_of_linearization(ctx, [(1, 3, 2)], mults)
-    assert got == basic_degree(ctx, 3, 2).value
-    # even multiplicity collapses to the unit
-    assert degree_of_linearization(ctx, [(1, 3, 2)], {2: 2}) == u
+    assert prob.rho([]) == u
+    # a triple carries (n, m, j); the degree only sees (m, j)
+    assert prob.rho([(1, 3, 2)]) == basic_degree(ctx, 3, 2).value
+    # a block of even multiplicity contributes a squared degree, the unit
+    # (which is why index_sets may leave such blocks out)
+    assert prob.rho([(1, 3, 2), (1, 3, 2)]) == u
     # squared crossings collapse too
-    assert degree_of_linearization(ctx, [(1, 3, 2), (2, 3, 2)], mults) == u
+    assert prob.rho([(1, 3, 2), (2, 3, 2)]) == u
+    # a cancelling pair drops out of a longer product
+    assert prob.rho([(1, 3, 2), (1, 1, 0), (2, 3, 2)]) == basic_degree(ctx, 1, 0).value

@@ -24,7 +24,6 @@ from equideg.groups import (
     group_from_generators,
     isotypic_decompose,
     n_count,
-    subgroup_classes,
     symmetric_group,
     weyl_order,
 )
@@ -100,7 +99,7 @@ def test_s4xz2_element_classes(s4xz2):
 
 
 def test_subgroup_classes_s4(s4):
-    classes = subgroup_classes(s4)
+    classes = s4.subgroup_classes()
     assert len(classes) == 11
     # classes are sorted by (order, class size)
     orders = [c.order for c in classes]
@@ -122,18 +121,18 @@ def test_generating_set_generates_and_decides_normality(group):
 
 def test_subgroup_classes_z2():
     z2 = cyclic_group(2)
-    assert len(subgroup_classes(z2)) == 2
+    assert len(z2.subgroup_classes()) == 2
 
 
 def test_subgroup_classes_s4xz2_count(s4xz2):
     # the working example's ambient finite group; oracle for the name table
-    assert len(subgroup_classes(s4xz2)) == 33
+    assert len(s4xz2.subgroup_classes()) == 33
 
 
 def test_total_subgroup_count_matches_classes(s4, s4xz2):
     for g in (s4, s4xz2):
         total = len(g.all_subgroups())
-        by_class = sum(c.class_size for c in subgroup_classes(g))
+        by_class = sum(c.class_size for c in g.subgroup_classes())
         assert total == by_class
 
 
@@ -169,7 +168,7 @@ def test_weyl_order_random_groups():
 
 
 def test_n_count_basics(s4):
-    classes = subgroup_classes(s4)
+    classes = s4.subgroup_classes()
     for c in classes:
         rep = c.representative
         assert n_count(s4, rep, c) == 1 or rep.order < c.order
@@ -184,7 +183,7 @@ def test_n_count_containment(s4):
     # h = <(1 2)(3 4)>, kClass = Sylow-2 (dihedral order 8) class
     dt = s4.index[Permutation.parse(4, "(1 2)(3 4)")]
     h = s4.subgroup_from_indices([dt])
-    classes = subgroup_classes(s4)
+    classes = s4.subgroup_classes()
     d4_class = [c for c in classes if c.order == 8][0]
     # brute-force oracle: (1 2)(3 4) lies in the normal V4, hence in every Sylow-2
     expect = sum(1 for m in d4_class.members if (h.mask & ~m) == 0)
@@ -193,7 +192,7 @@ def test_n_count_containment(s4):
 
 
 def test_n_count_lagrange_s4xz2(s4xz2):
-    classes = subgroup_classes(s4xz2)
+    classes = s4xz2.subgroup_classes()
     reps = [c.representative for c in classes]
     for h in reps:
         for c in classes:

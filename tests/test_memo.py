@@ -79,7 +79,7 @@ def test_generator_product_is_one_entry_per_unordered_pair(ctx):
 
 def test_cold_report_memo_sizes():
     """The memo misses of one cold report of the shipped model equal the
-    distinct queries the benchmark tracer counts: 563 n(H, K) pairs, six
+    distinct queries the benchmark tracer counts: 494 n(H, K) pairs, six
     basic degrees and 45 folding profiles (5 crossings x 9 maximal types).
     The generator products meet 346 distinct intersection parts.
 
@@ -90,7 +90,7 @@ def test_cold_report_memo_sizes():
     model = bundled_model()
     prob = model.problem
     run_report(model)
-    assert len(model.ctx._memo["n_amalgam"]) == 563
+    assert len(model.ctx._memo["n_amalgam"]) == 494
     assert len(model.ctx._memo["basic_degree"]) == 6
     assert len(model.ctx._memo["_part_type"]) == 346
     sizes = {name: len(table) for name, table in prob._memo.items()}

@@ -176,8 +176,8 @@ def test_flagged_checks_are_reported_not_raised(model, monkeypatch, tmp_path):
     import equideg.bifurcation as bif
     import equideg.cli as cli
 
-    x0_of = bif.x0_of
-    monkeypatch.setattr(bif, "x0_of", lambda ctx, u: -x0_of(ctx, u))
+    coeff_scale = bif.coeff_scale
+    monkeypatch.setattr(bif, "coeff_scale", lambda ctx, u: -coeff_scale(ctx, u))
     rep = run_report(model)
     checks = rep["fast_path_checks"]
     assert len(checks) == 17

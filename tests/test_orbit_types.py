@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from equideg.errors import InfiniteSubgroup, InfiniteWeyl, NonIntegralWeyl
-from equideg.model_io import bundled_model, load_model
+from equideg.model_io import load_model
 from equideg.orbit_types import (
     REF,
     ROT,
@@ -32,6 +32,7 @@ from equideg.orbit_types import (
 
 from s5_fixtures import MAXIMAL_1, MAXIMAL_3
 from test_generality import TRIANGLE
+from test_ring import ring
 
 
 def _angles(h):
@@ -242,7 +243,7 @@ def _grid_stabilizer(ctx, j, Wr, N):
     return frozenset(out)
 
 
-def _check_isotropy_against_grid(ctx, include_non_phi0):
+def _check_isotropy_against_grid(ctx):
     """Every candidate class with a nonzero fixed space is kept by orbit_types
     exactly when the grid stabilizer of its fixed space is its representative.
 
@@ -255,9 +256,9 @@ def _check_isotropy_against_grid(ctx, include_non_phi0):
     N = 4 * ctx.exponent
     checked = kept = 0
     for j in ctx.active_js():
-        keys = {t.key for t in orbit_types(ctx, 1, j, include_non_phi0)}
+        keys = {t.key for t in orbit_types(ctx, 1, j)}
         pool = {}
-        for data in _candidate_subgroups(ctx, ctx.exponent, include_cyclic=include_non_phi0):
+        for data in _candidate_subgroups(ctx, ctx.exponent):
             h = _build_candidate(ctx, *data)
             if _fixed_block(ctx, j, h).shape[2]:
                 t = ctx.intern(h)
@@ -274,16 +275,12 @@ def _check_isotropy_against_grid(ctx, include_non_phi0):
 
 
 def test_orbit_types_are_their_own_stabilizers(ctx):
-    assert _check_isotropy_against_grid(ctx, False) >= 300
+    assert _check_isotropy_against_grid(ctx) >= 300
 
 
-@pytest.mark.parametrize("which, include_non_phi0", [
-    ("six", True), ("triangle", False), ("triangle", True),
-], ids=["six-cyclic", "triangle", "triangle-cyclic"])
-def test_isotropy_matches_grid_stabilizer(which, include_non_phi0):
-    # a fresh model: cyclic types would add symbols to the shared context
-    model = bundled_model() if which == "six" else load_model(TRIANGLE)
-    _check_isotropy_against_grid(model.ctx, include_non_phi0)
+@pytest.mark.parametrize("which", ["triangle", "ring5"])
+def test_isotropy_matches_grid_stabilizer(which):
+    _check_isotropy_against_grid(load_model(TRIANGLE if which == "triangle" else ring(5)).ctx)
 
 
 def test_orbit_types_m0_are_their_own_stabilizers(ctx):
@@ -328,7 +325,6 @@ def _grid_oracle(h, k, M):
 def test_n_counts_stable_under_grid_refinement(ctx):
     from equideg.orbit_types import (
         _containing_counts,
-        _count_containing,
         _normalizer_counts,
     )
     pool = all_maximal(ctx)
@@ -337,8 +333,8 @@ def test_n_counts_stable_under_grid_refinement(ctx):
         for k in pool:
             if h.key == k.key or not leq(ctx, h, k):
                 continue
-            base = _count_containing(h.rep, k.rep, 1)
-            assert base == _count_containing(h.rep, k.rep, 2) == _count_containing(h.rep, k.rep, 3)
+            base = _containing_counts(h.rep, k.rep, 1)[1]
+            assert _containing_counts(h.rep, k.rep, 3)[1] == base
             # one doubled scan reads both the base and the doubled count
             assert _containing_counts(h.rep, k.rep, 2) == (base, base)
             pairs += 1
@@ -347,7 +343,7 @@ def test_n_counts_stable_under_grid_refinement(ctx):
     assert pairs
     d4 = parse_symbol(ctx, "(D2^D1 x^D4 D4p)")
     d12 = fold(ctx, d4, 3)
-    pair = (_count_containing(d4.rep, d12.rep, 1), _count_containing(d4.rep, d12.rep, 2))
+    pair = (_containing_counts(d4.rep, d12.rep, 1)[1], _containing_counts(d4.rep, d12.rep, 2)[1])
     assert _containing_counts(d4.rep, d12.rep, 2) == pair
     assert pair[0] == pair[1] == n_amalgam(ctx, d4, d12) >= 1
     # the scan agrees with conjugation by Fraction arithmetic

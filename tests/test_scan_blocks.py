@@ -125,16 +125,18 @@ def _step_intersections(a, b):
 @functools.lru_cache(maxsize=None)
 def finite_types(which):
     """Every finite m = 1 and m = 2 orbit type of a fresh six-membranes or
-    triangle model, the cyclic-projection ones included.  Mixed levels give
-    grids that are proper multiples of a table's level."""
+    triangle model, with its reflection-free rotation subgroup.  Mixed levels
+    give grids that are proper multiples of a table's level."""
     ctx = (bundled_model() if which == "six" else load_model(TRIANGLE)).ctx
     types = {}
     for m in (1, 2):
         for j in ctx.active_js():
-            for t in orbit_types(ctx, m, j, include_non_phi0=True):
+            for t in orbit_types(ctx, m, j):
                 if t.is_finite:
-                    types[t.key] = t.rep
-    return list(types.values())
+                    rot = SubgroupG(ctx.gamma, (e for e in t.rep.elems if e[0] == ROT),
+                                    t.rep.level)
+                    types.update(dict.fromkeys((t.rep, rot)))
+    return list(types)
 
 
 def _fresh(types):
@@ -192,10 +194,9 @@ def test_gamma_kernel_is_a_subgroup(which):
     ctx = (bundled_model() if which == "six" else load_model(TRIANGLE)).ctx
     checked = 0
     for m in (1, 2):
-        for include_cyclic in (False, True):
-            for h, _ in _goursat_pool(ctx, m, include_cyclic):
-                assert ctx.gamma.closure_mask(h.kern2_mask) == h.kern2_mask, h
-                checked += 1
+        for h, _ in _goursat_pool(ctx, m):
+            assert ctx.gamma.closure_mask(h.kern2_mask) == h.kern2_mask, h
+            checked += 1
     assert checked > 20
 
 
@@ -209,10 +210,10 @@ def _char_fix_dim(ctx, h, j, m=1):
     return round(tot / h.order)
 
 
-def _rebuilt_enum(ctx, j, include_non_phi0):
+def _rebuilt_enum(ctx, j):
     """The m = 1 orbit types of irrep j, rebuilding the Goursat candidates."""
     pool, seen = {}, set()
-    for data in _candidate_subgroups(ctx, ctx.exponent, include_cyclic=include_non_phi0):
+    for data in _candidate_subgroups(ctx, ctx.exponent):
         h = _build_candidate(ctx, *data)
         if not _char_fix_dim(ctx, h, j):
             continue
@@ -236,32 +237,30 @@ def test_pool_filter_matches_built_candidates(which):
     ctx = (bundled_model() if which == "six" else load_model(TRIANGLE)).ctx
     js = ctx.active_js()
     for m in (1, 2):
-        for include_cyclic in (False, True):
-            built, seen, candidates = [], set(), 0
-            for data in _candidate_subgroups(ctx, m * ctx.exponent, include_cyclic):
-                candidates += 1
-                h = _build_candidate(ctx, *data)
-                dims = _fix_dims(ctx, h, m, js)
-                assert _candidate_dims(m, *data) == dims, data[:3]
-                assert dims == {j: _char_fix_dim(ctx, h, j, m) for j in js}, data[:3]
-                h = h.std_position()
-                if any(dims.values()) and h not in seen:
-                    seen.add(h)
-                    built.append([h, dims])
-            pool = _goursat_pool(ctx, m, include_cyclic)
-            assert [(h.level, h.elems, dims) for h, dims in pool] == [
-                (h.level, h.elems, dims) for h, dims in built]
-            # the filter drops most candidates
-            assert 0 < 2 * len(pool) < candidates
+        built, seen, candidates = [], set(), 0
+        for data in _candidate_subgroups(ctx, m * ctx.exponent):
+            candidates += 1
+            h = _build_candidate(ctx, *data)
+            dims = _fix_dims(ctx, h, m, js)
+            assert _candidate_dims(m, *data) == dims, data[:3]
+            assert dims == {j: _char_fix_dim(ctx, h, j, m) for j in js}, data[:3]
+            h = h.std_position()
+            if any(dims.values()) and h not in seen:
+                seen.add(h)
+                built.append([h, dims])
+        pool = _goursat_pool(ctx, m)
+        assert [(h.level, h.elems, dims) for h, dims in pool] == [
+            (h.level, h.elems, dims) for h, dims in built]
+        # the filter drops most candidates
+        assert 0 < 2 * len(pool) < candidates
 
 
-@pytest.mark.parametrize("include_non_phi0", [False, True])
-def test_pooled_enumeration_matches_rebuild(ctx, include_non_phi0):
+def test_pooled_enumeration_matches_rebuild(ctx):
     pooled = AmbientContext(ctx.gamma, ctx.irreps, ctx.class_names)
     rebuilt = AmbientContext(ctx.gamma, ctx.irreps, ctx.class_names)
     for j in ctx.active_js():
-        got = [(t.key, t.symbol) for t in orbit_types(pooled, 1, j, include_non_phi0)]
-        want = [(t.key, t.symbol) for t in _rebuilt_enum(rebuilt, j, include_non_phi0)]
+        got = [(t.key, t.symbol) for t in orbit_types(pooled, 1, j)]
+        want = [(t.key, t.symbol) for t in _rebuilt_enum(rebuilt, j)]
         assert got == want, j
     # the same types, interned in the same order, so every ~N suffix agrees
     assert [t.symbol for t in pooled._types] == [t.symbol for t in rebuilt._types]
