@@ -228,7 +228,7 @@ class FiniteGroup:
         return classes
 
     @memoized
-    def _element_class_table(self) -> list[int]:
+    def element_class_table(self) -> list[int]:
         """[x] = index into conjugacy_classes() of element x's class."""
         class_of = [0] * self.order
         for k, cls in enumerate(self.conjugacy_classes()):
@@ -237,7 +237,7 @@ class FiniteGroup:
         return class_of
 
     def element_class_index(self, x: int) -> int:
-        return self._element_class_table()[x]
+        return self.element_class_table()[x]
 
     # -- subgroup level (bitmask representation) -------------------------------
 

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -261,6 +262,7 @@ def _assemble(cfg: dict) -> Model:
     _require(isinstance(notes, list) and all(isinstance(n, str) for n in notes),
              "notes must be a list of strings")
     bracket = _number(an, "alpha_bracket", "analysis.alpha_bracket", 1.0)
+    _require(bracket > 0, "analysis.alpha_bracket must be a number > 0")
     mults = {comp.j: comp.multiplicity for comp in components}
     problem = bif.BifurcationProblem(ctx, curves, bessel, mults, critical,
                                      mode=mode, k_fixed=k_fixed, alpha_bracket=bracket)
@@ -465,7 +467,74 @@ def run_report(model: Model) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as text: json.dumps(report, sort_keys=True, indent=2) plus a
+    newline, byte for byte.  It is written in one pass into one list, because
+    the stdlib encoder leaves its C path whenever indent is set and then costs
+    more than a warm report."""
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    r = float.__repr__(x)
+    return _NON_FINITE.get(r, r)
+
+
+# Leaves by exact type; bool cannot be subclassed, so every bool is found here.
+_JSON_LEAF = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+              bool: {True: "true", False: "false"}.__getitem__,
+              type(None): lambda _: "null"}
+# Subclasses (IntEnum, np.float64, ...) as json.dumps sees them.
+_JSON_LEAF_BASES = ((str, encode_basestring_ascii), (int, int.__repr__), (float, _json_float))
+
+
+def _write_json(x, nl: str, out: list[str]) -> None:
+    """Append the JSON text of x to out; nl is the newline and indent of x's line."""
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep, nxt = "{" + inner, "," + inner
+        for k in sorted(x):  # the order of sorted(x.items()), without the pairs
+            v = x[k]
+            out.append(sep)
+            out.append(encode_basestring_ascii(k))  # a TypeError for a non-str key
+            out.append(": ")
+            leaf = _JSON_LEAF.get(type(v))
+            if leaf is None:
+                _write_json(v, inner, out)
+            else:
+                out.append(leaf(v))
+            sep = nxt
+        out.append(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep, nxt = "[" + inner, "," + inner
+        for v in x:
+            out.append(sep)
+            leaf = _JSON_LEAF.get(type(v))
+            if leaf is None:
+                _write_json(v, inner, out)
+            else:
+                out.append(leaf(v))
+            sep = nxt
+        out.append(nl + "]")
+    else:
+        leaf = _JSON_LEAF.get(type(x))
+        if leaf is None:
+            leaf = next((w for base, w in _JSON_LEAF_BASES if isinstance(x, base)), None)
+            if leaf is None:
+                raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        out.append(leaf(x))
 
 
 # -- bundled example configs --------------------------------------------------------------

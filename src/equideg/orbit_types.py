@@ -169,8 +169,8 @@ class SubgroupG:
     def fingerprint(self) -> tuple:
         gamma = self.gamma
         L = self.level
-        sig = sorted((kind, min(t, (L - t) % L) if kind == ROT else 0,
-                      gamma.element_class_index(g))
+        class_of = gamma.element_class_table()
+        sig = sorted((kind, min(t, (L - t) % L) if kind == ROT else 0, class_of[g])
                      for kind, t, g in self.elems)
         return (L, self.rot_order, len(self.axes), self.order,
                 gamma.subgroup_class_of(self.proj2_mask),

@@ -86,17 +86,19 @@ def test_cold_report_memo_sizes():
     The problem holds 10 local invariants (5 crossings x 2 modes) where the
     tracer reads 15 distinct calls: its key keeps local_invariant(prob, cp)
     and local_invariant(prob, cp, mode="relative") apart, while the memo
-    keys on the resolved mode.  A second report adds no entry."""
+    keys on the resolved mode.  A second report adds no entry to the
+    problem's, the context's or the finite group's memo."""
     model = bundled_model()
     prob = model.problem
     run_report(model)
     assert len(model.ctx._memo["n_amalgam"]) == 494
     assert len(model.ctx._memo["basic_degree"]) == 6
     assert len(model.ctx._memo["_part_type"]) == 346
-    sizes = {name: len(table) for name, table in prob._memo.items()}
-    assert sizes == {"folding_profile": 45, "_local_invariant": 10}
+    owners = (prob, model.ctx, model.ctx.gamma)
+    sizes = [{name: len(table) for name, table in o._memo.items()} for o in owners]
+    assert sizes[0] == {"folding_profile": 45, "_local_invariant": 10}
     run_report(model)
-    assert {name: len(table) for name, table in prob._memo.items()} == sizes
+    assert [{name: len(table) for name, table in o._memo.items()} for o in owners] == sizes
     cp = model.critical[0]
     assert local_invariant(prob, cp) is local_invariant(prob, cp, mode=prob.mode)
 

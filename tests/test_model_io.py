@@ -1,9 +1,12 @@
 import copy
+import enum
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equideg.errors import (
     ConfigError,
@@ -107,6 +110,8 @@ def test_schema_errors():
     ("analysis", "mode", "bogus"),
     ("horizon", "n_max", 10 ** 6),
     ("group", "subgroup_names", ["Z1"] * 32),
+    ("analysis", "alpha_bracket", -1),
+    ("analysis", "alpha_bracket", 0),
 ])
 def test_malformed_field_is_a_config_error_naming_it(section, key, value):
     cfg = bundled_config("six_membranes")
@@ -132,6 +137,35 @@ def test_report_roundtrip_and_determinism(model):
     assert text == (REFERENCE / "six_membranes.json").read_text()
     assert {e["status"] for e in rep["fast_path_checks"]} == {"ok"}
     assert rep["warnings"]
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 7
+
+
+_LEAVES = (st.integers() | st.sampled_from([2 ** 70, -(2 ** 70), _Level.LOW, _Level.HIGH])
+           | st.floats().map(np.float64)
+           | st.sampled_from([-0.0, 1e16, 1e-7, float("nan"), float("inf"), -float("inf")])
+           | st.floats() | st.booleans() | st.none() | st.text(max_size=6))
+_KEYS = st.text(max_size=6) | st.sampled_from(["", "\u00e9t\u00e9", "\u03b1\u207a", "a\"b\\c\n\t\x00"])
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_TREES)
+def test_report_json_is_json_dumps_indent_2(tree):
+    assert report_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [set(), np.int64(3), object(), {1: 2}, [{"a": object()}]])
+def test_report_json_rejects_non_json_values_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        report_json(value)
 
 
 def test_kernel_mode_symmetry_condition(model):
