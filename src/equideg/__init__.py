@@ -21,10 +21,8 @@ from .bifurcation import (
 )
 from .burnside import BurnsideElement
 from .degrees import (
-    BasicDegree,
     basic_degree,
     basic_degree_direct,
-    coeff_fast,
     degree_product,
     fold_element,
 )
@@ -57,7 +55,6 @@ from .model_io import (
 from .orbit_types import (
     AmbientContext,
     Irrep,
-    IrrepLabel,
     OrbitType,
     elements_of,
     fixed_dim_irrep,
@@ -87,4 +84,4 @@ from .spectrum import (
     kernel_mode,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

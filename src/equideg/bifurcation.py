@@ -43,6 +43,8 @@ class BifurcationProblem:
                  k_fixed: bool = True, alpha_bracket: float = 1.0):
         if mode not in ("relative", "full"):
             raise ValueError(f"unknown mode {mode!r}")
+        if not (math.isfinite(alpha_bracket) and alpha_bracket > 0):
+            raise ValueError(f"alpha_bracket must be a finite number > 0, got {alpha_bracket!r}")
         self.ctx = ctx
         self.curves = {c.j: c for c in curves}
         self.table = table
@@ -160,7 +162,7 @@ def folding_profile(prob: BifurcationProblem, cp: CriticalPoint, h: OrbitType) -
             continue
         u = fold(ctx, h, s)
         at_s = [[j for _, m, j in sig if m == s] for sig in sides]
-        n_minus[s], n_plus[s] = (sum(1 for j in js if basic_degree(ctx, s, j).value.coeff(u))
+        n_minus[s], n_plus[s] = (sum(1 for j in js if basic_degree(ctx, s, j).coeff(u))
                                  for js in at_s)
         # +1 when the count turns odd across the crossing, -1 when it turns even
         indicator[s] = n_plus[s] % 2 - n_minus[s] % 2
@@ -178,7 +180,7 @@ def _flip_count(prob: BifurcationProblem, triples, u: OrbitType) -> int:
     degree product is (-1) to this count, since marks are multiplicative."""
     flips = 0
     for m, j in prob.reduced_factors(triples):
-        phi = basic_degree(prob.ctx, m, j).value.mark(u)
+        phi = basic_degree(prob.ctx, m, j).mark(u)
         if phi == -1:
             flips += 1
         elif phi != 1:

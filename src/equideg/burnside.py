@@ -45,16 +45,8 @@ class BurnsideElement:
     # -- construction -----------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx: AmbientContext) -> "BurnsideElement":
-        return cls(ctx)
-
-    @classmethod
     def unit(cls, ctx: AmbientContext) -> "BurnsideElement":
         return cls(ctx, {ctx.unit: 1})
-
-    @classmethod
-    def generator(cls, ctx: AmbientContext, t: OrbitType, coeff: int = 1) -> "BurnsideElement":
-        return cls(ctx, {t: coeff})
 
     # -- ring operations -----------------------------------------------------------
 

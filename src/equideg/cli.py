@@ -16,10 +16,13 @@ from .degrees import basic_degree
 from .errors import ComputationError, ConfigError
 from .model_io import (
     bundled_config,
+    critical_point_rows,
+    isotypic_rows,
     load_model,
     model_kernel_mode,
     report_json,
     run_report,
+    verdict_row,
 )
 from .orbit_types import parse_symbol
 from .spectrum import BesselZeroTable
@@ -120,9 +123,7 @@ def _dispatch(args) -> int:
     model = _load(args)
 
     if cmd == "decompose":
-        rows = [{"j": c.j, "label": c.label, "irrep_dim": c.irrep_dim,
-                 "multiplicity": c.multiplicity, "weight": model.weights[c.j]}
-                for c in model.components]
+        rows = isotypic_rows(model)
         if args.format == "json":
             _emit(args, json.dumps(rows, indent=2) + "\n")
         else:
@@ -132,8 +133,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "critical-points":
-        rows = [{"id": list(cp.id), "alpha": cp.alpha, "zeta_level": cp.zeta_level}
-                for cp in model.critical]
+        rows = critical_point_rows(model)
         if args.format == "json":
             _emit(args, json.dumps(rows, indent=2) + "\n")
         else:
@@ -143,8 +143,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "basic-degree":
-        deg = basic_degree(model.ctx, args.m, args.j)
-        terms = deg.value.sorted_terms()
+        terms = basic_degree(model.ctx, args.m, args.j).sorted_terms()
         if args.format == "json":
             _emit(args, json.dumps({"m": args.m, "j": args.j,
                                     "terms": [[s, c] for s, c in terms]}, indent=2) + "\n")
@@ -167,11 +166,7 @@ def _dispatch(args) -> int:
 
     if cmd == "global":
         h = parse_symbol(model.ctx, args.orbit_type)
-        v = bif.global_verdict(model.problem, h)
-        payload = {"orbit_type": v.orbit_type_symbol, "s_bar": v.s_bar,
-                   "members": [list(m) for m in v.members],
-                   "parity_odd": v.parity_odd, "conclusion": v.conclusion,
-                   "folded": v.folded_symbol, "direction": v.direction}
+        payload = verdict_row(bif.global_verdict(model.problem, h))
         if args.format == "json":
             _emit(args, json.dumps(payload, indent=2) + "\n")
         else:

@@ -236,9 +236,6 @@ class FiniteGroup:
                 class_of[y] = k
         return class_of
 
-    def element_class_index(self, x: int) -> int:
-        return self.element_class_table()[x]
-
     # -- subgroup level (bitmask representation) -------------------------------
 
     def closure_mask(self, mask: int) -> int:
@@ -371,12 +368,6 @@ class Subgroup:
     def members(self) -> list[int]:
         return self.parent.mask_elements(self.mask)
 
-    def contains(self, other: "Subgroup") -> bool:
-        return (other.mask & ~self.mask) == 0
-
-    def __le__(self, other: "Subgroup") -> bool:
-        return other.contains(self)
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order})"
 
@@ -468,25 +459,25 @@ class CharacterTable:
             reps = tuple(c[0] for c in classes)
         else:
             reps = tuple(class_representatives)
-        sizes = [len(classes[group.element_class_index(r)]) for r in reps]
+        class_of = group.element_class_table()
+        sizes = [len(classes[class_of[r]]) for r in reps]
         rows_f = tuple(tuple(Fraction(v) for v in row) for row in rows)
         if labels is None:
             labels = tuple(f"chi{i}" for i in range(len(rows_f)))
         return cls(group, reps, tuple(sizes), rows_f, tuple(labels))
 
-    def inner(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        tot = Fraction(0)
-        for size, x, y in zip(self.class_sizes, a, b):
-            tot += size * Fraction(x) * Fraction(y)
-        return tot / self.group.order
-
     def check_orthogonality(self) -> bool:
-        for i, ri in enumerate(self.rows):
-            for j, rj in enumerate(self.rows):
-                want = Fraction(1 if i == j else 0)
-                if self.inner(ri, rj) != want:
+        """Whether the rows are orthonormal under the class sizes and each
+        takes a positive integer value at the identity, both to within 1e-9
+        (rows given as floats, such as 2 cos 72 degrees, are not exact)."""
+        rows = [[float(v) for v in row] for row in self.rows]
+        for i, ri in enumerate(rows):
+            for j, rj in enumerate(rows):
+                dot = sum(size * x * y for size, x, y in zip(self.class_sizes, ri, rj))
+                if abs(dot / self.group.order - (1 if i == j else 0)) > 1e-9:
                     return False
-        return all(row[self._identity_column()] >= 1 for row in self.rows)
+        k = self._identity_column()
+        return all(round(row[k]) >= 1 and abs(row[k] - round(row[k])) <= 1e-9 for row in rows)
 
     def _identity_column(self) -> int:
         for k, r in enumerate(self.class_representatives):
@@ -573,7 +564,7 @@ def isotypic_decompose(action: OrthogonalAction, table: CharacterTable) -> list[
         if abs(m - snapped) > 1e-9 or snapped < 0:
             raise NonIntegralMultiplicity(f"multiplicity of {label} is {m}")
         out.append((label, int(snapped)))
-    dim_total = sum(int(row[table._identity_column()]) * mult for (label, mult), row in zip(out, table.rows))
+    dim_total = sum(round(row[table._identity_column()]) * mult for (label, mult), row in zip(out, table.rows))
     if dim_total != action.dimension:
         raise NonIntegralMultiplicity(
             f"multiplicities sum to dimension {dim_total}, action has {action.dimension}")

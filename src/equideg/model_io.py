@@ -87,7 +87,6 @@ class Model:
     gamma: FiniteGroup
     gamma_prime: FiniteGroup
     action: OrthogonalAction
-    table: Optional[CharacterTable]
     components: list[IsotypicComponent]
     ctx: AmbientContext
     a: float
@@ -167,7 +166,6 @@ def _assemble(cfg: dict) -> Model:
     else:
         raise SchemaError("action.type must be 'permutation' or 'matrices'")
 
-    table = None
     if "character_table" in cfg:
         tcfg = cfg["character_table"]
         reps = tcfg.get("class_representatives")
@@ -183,8 +181,15 @@ def _assemble(cfg: dict) -> Model:
         _require(all(p in gamma.index for p in reps),
                  "character_table.class_representatives must be elements of the group")
         reps = [gamma.index[p] for p in reps]
+        n = len(gamma.conjugacy_classes())
+        class_of = gamma.element_class_table()
+        _require(sorted(class_of[r] for r in reps) == list(range(n)),
+                 f"character_table.class_representatives must hit each of the {n} "
+                 "conjugacy classes of the group once")
+        _require(len(rows) == n, f"character_table.rows must hold {n} rows, one per class")
         table = CharacterTable.from_rows(gamma, rows, labels, class_representatives=reps)
-    if table is not None:
+        _require(table.check_orthogonality(),
+                 "character_table.rows must be orthonormal irreducible characters")
         components = isotypic_components(action, table)
     else:
         components = _components_from_matrices(gamma, action)
@@ -266,8 +271,8 @@ def _assemble(cfg: dict) -> Model:
     mults = {comp.j: comp.multiplicity for comp in components}
     problem = bif.BifurcationProblem(ctx, curves, bessel, mults, critical,
                                      mode=mode, k_fixed=k_fixed, alpha_bracket=bracket)
-    return Model(cfg.get("name", "model"), cfg, gamma, gamma_prime, action, table,
-                 components, ctx, a, C, weights, curves, bessel, critical, problem)
+    return Model(cfg.get("name", "model"), cfg, gamma, gamma_prime, action, components,
+                 ctx, a, C, weights, curves, bessel, critical, problem)
 
 
 def _coupling_matrix(lcfg: dict, k: int) -> np.ndarray:
@@ -343,17 +348,9 @@ def model_kernel_mode(model: Model, cid, orbit_type_symbol: Optional[str] = None
     t = parse_symbol(model.ctx, orbit_type_symbol)
     if not t.is_finite:
         raise ComputationError(f"{orbit_type_symbol} fixes no nonzero mode at positive frequency")
-    u = t if cp.m == 1 else None
     # accept either the frequency-1 type or its fold at the crossing frequency
-    for h in maximal_types(model.ctx, 1, cp.j):
-        if fold(model.ctx, h, cp.m).key == t.key:
-            u = fold(model.ctx, h, cp.m)
-            break
-        if h.key == t.key:
-            u = fold(model.ctx, h, cp.m)
-            break
-    if u is None:
-        u = t
+    u = next((fold(model.ctx, h, cp.m) for h in maximal_types(model.ctx, 1, cp.j)
+              if t.key in (h.key, fold(model.ctx, h, cp.m).key)), t)
     W = fixed_space(model.ctx, cp.m, cp.j, u.rep)
     if W.shape[1] == 0:
         raise ComputationError(f"{orbit_type_symbol} fixes no kernel direction at {cid}")
@@ -379,6 +376,26 @@ def _element_terms(e: BurnsideElement) -> list[list]:
     return [[sym, c] for sym, c in e.sorted_terms()]
 
 
+def isotypic_rows(model: Model) -> list[dict]:
+    """One row per isotypic component, as the report and `decompose` print it."""
+    return [{"j": comp.j, "label": comp.label, "irrep_dim": comp.irrep_dim,
+             "multiplicity": comp.multiplicity, "weight": model.weights[comp.j]}
+            for comp in model.components]
+
+
+def critical_point_rows(model: Model) -> list[dict]:
+    """One row per critical point, as the report and `critical-points` print it."""
+    return [{"id": list(cp.id), "alpha": cp.alpha, "zeta_level": cp.zeta_level}
+            for cp in model.critical]
+
+
+def verdict_row(v: bif.GlobalVerdict) -> dict:
+    """A global verdict as the report and `global` print it."""
+    return {"orbit_type": v.orbit_type_symbol, "s_bar": v.s_bar,
+            "members": [list(m) for m in v.members], "parity_odd": v.parity_odd,
+            "conclusion": v.conclusion, "folded": v.folded_symbol, "direction": v.direction}
+
+
 def run_report(model: Model) -> dict:
     """Full pipeline report, invariants in both modes; deterministic for a fixed config."""
     prob = model.problem
@@ -390,15 +407,8 @@ def run_report(model: Model) -> dict:
             "k_fixed": prob.k_fixed,
             "weyl_convention": "reduced",
         },
-        "isotypic": [
-            {"j": comp.j, "label": comp.label, "irrep_dim": comp.irrep_dim,
-             "multiplicity": comp.multiplicity, "weight": model.weights[comp.j]}
-            for comp in model.components
-        ],
-        "critical_points": [
-            {"id": list(cp.id), "alpha": cp.alpha, "zeta_level": cp.zeta_level}
-            for cp in model.critical
-        ],
+        "isotypic": isotypic_rows(model),
+        "critical_points": critical_point_rows(model),
         "invariants": [],
         "profiles": [],
         "certificates": [],
@@ -427,12 +437,9 @@ def run_report(model: Model) -> dict:
             prof = bif.folding_profile(prob, cp, h)
             report["profiles"].append({
                 "id": list(cp.id), "orbit_type": h.symbol, "s_max": prof.s_max,
-                "n_minus": {str(k): v for k, v in sorted(prof.n_minus.items())},
-                "n_plus": {str(k): v for k, v in sorted(prof.n_plus.items())},
-                "indicator": {str(k): v for k, v in sorted(prof.indicator.items())},
-                "signed_indicator": {str(k): v for k, v in sorted(prof.signed_indicator.items())},
-                "m_minus": {str(k): v for k, v in sorted(prof.m_minus.items())},
-                "m_plus": {str(k): v for k, v in sorted(prof.m_plus.items())},
+                **{name: {str(k): v for k, v in getattr(prof, name).items()}
+                   for name in ("n_minus", "n_plus", "indicator", "signed_indicator",
+                                "m_minus", "m_plus")},
             })
             if prof.s_max is None:
                 continue
@@ -450,14 +457,7 @@ def run_report(model: Model) -> dict:
                     "folded": cert.folded_symbol, "s": cert.s,
                     "coefficient": cert.coefficient, "statement": cert.statement,
                 })
-    for h in pool:
-        v = bif.global_verdict(prob, h)
-        report["verdicts"].append({
-            "orbit_type": v.orbit_type_symbol, "s_bar": v.s_bar,
-            "members": [list(m) for m in v.members], "parity_odd": v.parity_odd,
-            "conclusion": v.conclusion, "folded": v.folded_symbol,
-            "direction": v.direction,
-        })
+    report["verdicts"].extend(verdict_row(bif.global_verdict(prob, h)) for h in pool)
     if invariants_by_mode.get(prob.mode):
         total = bif.rabinowitz_sum(invariants_by_mode[prob.mode])
         report["rabinowitz_sum"] = {"mode": prob.mode, "terms": _element_terms(total)}

@@ -353,20 +353,6 @@ class Irrep:
         return cls(j, mats[0].shape[0], mats, chars)
 
 
-@dataclass(frozen=True)
-class IrrepLabel:
-    """Label (m, j) of the O(2) x Gamma'-irreducible W_m (x) V_j^-."""
-
-    m: int
-    j: int
-    dim: int
-
-    @classmethod
-    def of(cls, ctx: AmbientContext, m: int, j: int) -> "IrrepLabel":
-        d = ctx.irrep(j).dim
-        return cls(m, j, d if m == 0 else 2 * d)
-
-
 # -- element-level access ---------------------------------------------------------
 
 def elements_of(ctx: AmbientContext, t: OrbitType):
@@ -852,15 +838,11 @@ def _candidate_dims(m: int, a1: int, shape: str, b: int, q2: _Quotient,
             for j, sums in q2.char_sums.items()}
 
 
-def orbit_types(ctx: AmbientContext, m: int, j: int):
+@memoized
+def orbit_types(ctx: AmbientContext, m: int, j: int) -> tuple:
     """Conjugacy classes of isotropy groups of nonzero points of W_m (x) V_j^-
     with finite Weyl group (Phi_0): dihedral O(2)-projection at m >= 1, full
     O(2) at m = 0.  Only these occur in the Burnside ring."""
-    return list(_orbit_types(ctx, m, j))
-
-
-@memoized
-def _orbit_types(ctx: AmbientContext, m: int, j: int) -> tuple:
     if m == 0:
         return tuple(_orbit_types_m0(ctx, j))
     if m == 1:
@@ -925,13 +907,9 @@ def _orbit_types_enum(ctx: AmbientContext, m: int, j: int):
                   key=lambda t: (t.order, t.symbol))
 
 
-def maximal_types(ctx: AmbientContext, m: int, j: int):
-    """Maximal orbit types of W_m (x) V_j^- under the subconjugation order."""
-    return list(_maximal_types(ctx, m, j))
-
-
 @memoized
-def _maximal_types(ctx: AmbientContext, m: int, j: int) -> tuple:
+def maximal_types(ctx: AmbientContext, m: int, j: int) -> tuple:
+    """Maximal orbit types of W_m (x) V_j^- under the subconjugation order."""
     pool = orbit_types(ctx, m, j)
     return tuple(sorted((t for t in pool if not any(u is not t and leq(ctx, t, u) for u in pool)),
                         key=lambda t: (t.order or 0, t.symbol)))

@@ -47,16 +47,16 @@ def isotypic_components(action: OrthogonalAction, table: CharacterTable) -> list
     """Isotypic decomposition of an action using a supplied character table."""
     g = action.group
     k = action.dimension
-    classes = g.conjugacy_classes()
+    class_of = g.element_class_table()
     out = []
     for j, (label, row) in enumerate(zip(table.labels, table.rows)):
-        d_j = int(row[table._identity_column()])
+        d_j = round(row[table._identity_column()])
         P = np.zeros((k, k))
         chi = {}
         for rep, val in zip(table.class_representatives, row):
-            chi[g.element_class_index(rep)] = float(val)
+            chi[class_of[rep]] = float(val)
         for x in range(g.order):
-            P += chi[g.element_class_index(x)] * action.matrices[x]
+            P += chi[class_of[x]] * action.matrices[x]
         P *= d_j / g.order
         vals, vecs = np.linalg.eigh((P + P.T) / 2)
         basis = vecs[:, vals > 0.5]

@@ -18,10 +18,10 @@ from equideg.bifurcation import (
     theorem_bounded_coeff,
 )
 from equideg.burnside import BurnsideElement
-from equideg.degrees import basic_degree, coeff_fast, fold_element
+from equideg.degrees import basic_degree, degree_product, fold_element
 from equideg.groups import CharacterTable, Permutation, isotypic_decompose
 from equideg.model_io import bundled_model, model_kernel_mode, run_report
-from equideg.orbit_types import fold, maximal_types
+from equideg.orbit_types import fixed_dim_irrep, fold, maximal_types, x0_of
 from equideg.spectrum import BesselZeroTable, bessel_zero_sq
 
 from s5_fixtures import (
@@ -78,12 +78,11 @@ def test_criterion_03_maximal_orbit_types(ctx):
 def test_criterion_04_basic_degrees(ctx):
     unit = BurnsideElement.unit(ctx)
     for (m, j), want in DEGREES.items():
-        d = basic_degree(ctx, m, j).value
+        d = basic_degree(ctx, m, j)
         assert dict(d.sorted_terms()) == want, (m, j)
         assert d * d == unit, (m, j)
     for j in (0, 2, 3):
-        assert fold_element(ctx, basic_degree(ctx, 1, j).value, 3) \
-            == basic_degree(ctx, 3, j).value
+        assert fold_element(ctx, basic_degree(ctx, 1, j), 3) == basic_degree(ctx, 3, j)
     _ok(4, "degree expansions match term-for-term, square to (G), and fold 1 -> 3")
 
 
@@ -139,8 +138,11 @@ def test_criterion_08_fast_paths_agree(model, prob):
     for j in (0, 2, 3):
         for h in maximal_types(ctx, 1, j):
             for s in (1, 3):
-                coeff_fast(ctx, h, s, [j])       # single factor, parity rule
-                coeff_fast(ctx, h, s, [j, j])    # paired factors cancel
+                u = fold(ctx, h, s)
+                # single factor, parity rule; paired factors cancel
+                parity = -x0_of(ctx, u) if fixed_dim_irrep(ctx, h, 1, j) % 2 else 0
+                assert degree_product(ctx, ((s, j),)).coeff(u) == parity, (h.symbol, s, j)
+                assert degree_product(ctx, ((s, j), (s, j))).coeff(u) == 0, (h.symbol, s, j)
                 pairs += 2
     _ok(8, f"closed forms equal product coefficients: {checked} invariant pairs, "
            f"{pairs} degree-product pairs, zero mismatches")
@@ -165,16 +167,15 @@ def test_criterion_10_property_suites(model, prob):
     # ring axioms on 100 random elements drawn from the example's type pool
     pool = {ctx.unit.key: ctx.unit}
     for (m, j) in DEGREES:
-        for t in basic_degree(ctx, m, j).value.terms:
+        for t in basic_degree(ctx, m, j).terms:
             pool[t.key] = t
     pool = list(pool.values())
     rng = random.Random(2024)
     elems = []
     for _ in range(100):
-        e = BurnsideElement.zero(ctx)
+        e = BurnsideElement(ctx)
         for _ in range(rng.randint(1, 2)):
-            e = e + BurnsideElement.generator(ctx, rng.choice(pool),
-                                              rng.choice([-2, -1, 1, 2]))
+            e = e + BurnsideElement(ctx, {rng.choice(pool): rng.choice([-2, -1, 1, 2])})
         elems.append(e)
     for i in range(0, 99, 3):
         a, b, c = elems[i], elems[i + 1], elems[i + 2]

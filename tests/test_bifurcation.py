@@ -35,7 +35,7 @@ def test_omega_expansions(model, prob):
 def test_first_invariant_is_unit_minus_degree(model, prob):
     inv = local_invariant(prob, cp_by_id(model, (1, 3, 2)))
     u = BurnsideElement.unit(model.ctx)
-    assert inv.value == u - basic_degree(model.ctx, 3, 2).value
+    assert inv.value == u - basic_degree(model.ctx, 3, 2)
 
 
 def test_rabinowitz_sum(model, prob):
@@ -63,7 +63,7 @@ def test_mode_consistency(model, prob):
 
 
 def test_telescoping_full_mode(model, prob):
-    total = BurnsideElement.zero(model.ctx)
+    total = BurnsideElement(model.ctx)
     for cp in model.critical:
         total = total + local_invariant(prob, cp, mode="full").value
     lo = model.critical[0].alpha - 1.0
@@ -210,6 +210,13 @@ def test_not_isolated_guard(model):
                               {0: 1, 2: 1, 3: 1}, [cp, twin])
     with pytest.raises(NotIsolated):
         prob.bracket(cp)
+
+
+@pytest.mark.parametrize("bracket", [-1.0, 0.0, float("nan")])
+def test_alpha_bracket_must_be_finite_and_positive(model, bracket):
+    with pytest.raises(ValueError, match="alpha_bracket"):
+        BifurcationProblem(model.ctx, model.curves, model.bessel, {0: 1, 2: 1, 3: 1},
+                           model.critical, alpha_bracket=bracket)
 
 
 def test_mixed_mode_sum_rejected(model, prob):

@@ -2,15 +2,17 @@ import contextlib
 import copy
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equideg.cli import main
-from equideg.model_io import bundled_config
+from equideg.model_io import bundled_config, load_model
 
 from test_generality import TRIANGLE
+from test_ring import ring
 
 
 def run_cli(capsys, *args):
@@ -152,12 +154,28 @@ Z3 = {**TRIANGLE,
     (("group", "subgroup_names"), 5),
     (("character_table", "class_representatives"), ["()", "(1 2", "(1 2 3)", "(1 2)(3 4)",
                                                     "(1 2 3 4)"]),
+    # a second trivial row in place of the sign character
+    (("character_table", "rows"), [[1, 1, 1, 1, 1], [1, 1, 1, 1, 1], [2, 0, 2, -1, 0],
+                                   [3, -1, -1, 0, 1], [3, 1, -1, 0, -1]]),
+    # chi2 with its (1 2) and (1 2 3) columns swapped
+    (("character_table", "rows"), [[1, 1, 1, 1, 1], [1, -1, 1, 1, -1], [2, -1, 2, 0, 0],
+                                   [3, -1, -1, 0, 1], [3, 1, -1, 0, -1]]),
+    # chi3 and chi4 turned by 45 degrees in their plane: orthonormal, not characters
+    (("character_table", "rows"), [[1, 1, 1, 1, 1], [1, -1, 1, 1, -1], [2, 0, 2, -1, 0],
+                                   [6 / 2 ** 0.5, 0, -2 / 2 ** 0.5, 0, 0],
+                                   [0, -2 / 2 ** 0.5, 0, 0, 2 / 2 ** 0.5]]),
+    # the class of (1 2 3 4) dropped from the representatives and every row
+    (("character_table",), {"class_representatives": ["()", "(1 2)", "(1 2)(3 4)", "(1 2 3)"],
+                            "rows": [[1, 1, 1, 1], [1, -1, 1, 1], [2, 0, 2, -1],
+                                     [3, -1, -1, 0], [3, 1, -1, 0]]}),
 ]] + [
     (Z3, ("character_table", "class_representatives"), ["()", "(1 2)", "(1 3 2)"]),
 ], ids=["n_max", "m_max", "rows", "zeta", "generator_images", "a_infinite",
         "k_fixed_string", "notes_number", "notes_string", "generator_trailing_junk",
         "generator_letter", "mode_unknown", "m_max_too_large", "names_too_few",
-        "names_number", "class_representative_unclosed", "class_representative_outside_gamma"])
+        "names_number", "class_representative_unclosed", "rows_second_trivial",
+        "rows_columns_swapped", "rows_not_characters", "class_dropped",
+        "class_representative_outside_gamma"])
 def test_malformed_field_is_exit_2(capsys, tmp_path, base, path, value):
     cfg = bundled_config(base) if isinstance(base, str) else copy.deepcopy(base)
     section = cfg
@@ -169,6 +187,27 @@ def test_malformed_field_is_exit_2(capsys, tmp_path, base, path, value):
     code, _, err = run_cli(capsys, "--config", str(p), "critical-points")
     assert code == 2
     assert err.startswith("config error:") and ".".join(path) in err
+
+
+def test_float_character_table_is_accepted():
+    # D5 on a ring of five membranes, its characters 2 cos(72 k degrees) given as
+    # floats; an identity value 1e-12 below 2 still reads as dimension 2
+    c1, c2 = (2 * math.cos(math.radians(a)) for a in (72, 144))
+    cfg = ring(5)
+    cfg["character_table"] = {
+        "class_representatives": ["()", "(1 2 3 4 5)", "(1 3 5 2 4)", "(2 5)(3 4)"],
+        "rows": [[1, 1, 1, 1], [1, 1, 1, -1], [2 - 1e-12, c1, c2, 0], [2, c2, c1, 0]]}
+    assert [c.irrep_dim for c in load_model(cfg).components] == [1, 2, 2]
+
+
+def test_row_commands_print_the_report_rows(capsys):
+    """decompose, critical-points and global print the report's own rows."""
+    base = ("--config", "bundled:six_membranes", "--format", "json")
+    rep = json.loads(run_cli(capsys, *base, "report")[1])
+    assert json.loads(run_cli(capsys, *base, "decompose")[1]) == rep["isotypic"]
+    assert json.loads(run_cli(capsys, *base, "critical-points")[1]) == rep["critical_points"]
+    for v in rep["verdicts"]:
+        assert json.loads(run_cli(capsys, *base, "global", "--orbit-type", v["orbit_type"])[1]) == v
 
 
 def test_s4xz2_names_on_another_group_is_exit_2(capsys):

@@ -1,5 +1,9 @@
 import concurrent.futures
+from pathlib import Path
 
+import pytest
+
+import equideg
 from equideg.bifurcation import local_invariant
 from equideg.burnside import BurnsideElement
 from equideg.degrees import basic_degree
@@ -21,7 +25,7 @@ def test_concurrent_degree_queries(model):
 
     def work(arg):
         m, j = arg
-        return dict(basic_degree(ctx, m, j).value.sorted_terms())
+        return dict(basic_degree(ctx, m, j).sorted_terms())
 
     jobs = [(m, j) for m in (1, 3) for j in (0, 2, 3)] * 2
     with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
@@ -30,9 +34,15 @@ def test_concurrent_degree_queries(model):
 
 
 def test_ambient_convention(ctx):
-    d = basic_degree(ctx, 1, 2).value
+    d = basic_degree(ctx, 1, 2)
     t = parse_symbol(ctx, "(D6^Z1 x^V4 S4p)")
     # without the table rescale the rotation-kernel coefficient is half as large
     assert d.coeff_ambient(t) == -1
     assert d.coeff(t) == -2
     assert d * d == BurnsideElement.unit(ctx)
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert meta["project"]["version"] == equideg.__version__

@@ -71,7 +71,7 @@ def test_keyword_query_is_the_positional_entry(ctx):
 
 
 def test_generator_product_is_one_entry_per_unordered_pair(ctx):
-    types = [t for t in basic_degree(ctx, 1, 2).value.terms if t is not ctx.unit]
+    types = [t for t in basic_degree(ctx, 1, 2).terms if t is not ctx.unit]
     a, b = types[0], types[-1]
     assert a is not b
     assert generator_product(ctx, a, b) is generator_product(ctx, b, a)

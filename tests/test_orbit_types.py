@@ -389,7 +389,7 @@ def test_partial_order_antisymmetric_on_pool(ctx):
 
 def _fraction_signature(gamma, elems):
     return sorted((kind, min(a, (1 - a) % 1) if kind == ROT else Fraction(0),
-                   gamma.element_class_index(g)) for kind, a, g in elems)
+                   gamma.element_class_table()[g]) for kind, a, g in elems)
 
 
 def test_tick_arithmetic_matches_fractions(ctx):

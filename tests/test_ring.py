@@ -12,9 +12,9 @@ import pytest
 
 from equideg.burnside import BurnsideElement
 from equideg.cli import main
-from equideg.degrees import basic_degree, basic_degree_direct, coeff_fast, fold_element
+from equideg.degrees import basic_degree, basic_degree_direct, degree_product, fold_element
 from equideg.model_io import load_model, run_report
-from equideg.orbit_types import fixed_dim_irrep, maximal_types
+from equideg.orbit_types import fixed_dim_irrep, fold, maximal_types, x0_of
 
 
 def ring(n):
@@ -68,7 +68,7 @@ def test_degrees_square_to_the_unit(ring5):
     unit = BurnsideElement.unit(ctx)
     for j in ctx.active_js():
         for m in (0, 1, 2, 3):
-            d = basic_degree(ctx, m, j).value
+            d = basic_degree(ctx, m, j)
             assert d * d == unit, (m, j)
 
 
@@ -76,10 +76,10 @@ def test_fold_is_a_homomorphism(ring5):
     ctx = ring5.ctx
     js = ctx.active_js()
     for j in js:
-        base = basic_degree(ctx, 1, j).value
+        base = basic_degree(ctx, 1, j)
         for s in (2, 3):
-            assert fold_element(ctx, base, s) == basic_degree_direct(ctx, s, j).value, (s, j)
-    a, b = (basic_degree(ctx, 1, j).value for j in js[-2:])
+            assert fold_element(ctx, base, s) == basic_degree_direct(ctx, s, j), (s, j)
+    a, b = (basic_degree(ctx, 1, j) for j in js[-2:])
     for s in (2, 3):
         assert fold_element(ctx, a * b, s) == fold_element(ctx, a, s) * fold_element(ctx, b, s)
 
@@ -89,9 +89,11 @@ def test_coeff_fast_matches_products(ring5):
     pairs = 0
     for j in ctx.active_js():
         for h in maximal_types(ctx, 1, j):
+            assert fixed_dim_irrep(ctx, h, 1, j) % 2 == 1, (h.symbol, j)
             for s in (1, 3):
-                assert coeff_fast(ctx, h, s, [j]) != 0  # odd fixed dimension
-                assert coeff_fast(ctx, h, s, [j, j]) == 0
+                u = fold(ctx, h, s)
+                assert degree_product(ctx, ((s, j),)).coeff(u) == -x0_of(ctx, u), (h.symbol, s)
+                assert degree_product(ctx, ((s, j), (s, j))).coeff(u) == 0, (h.symbol, s)
                 pairs += 2
     assert pairs >= 12
 
@@ -100,6 +102,6 @@ def test_marks_of_degrees_are_fixed_dimension_parities(ring5):
     ctx = ring5.ctx
     for j in ctx.active_js():
         for m in (0, 1, 2):
-            d = basic_degree(ctx, m, j).value
+            d = basic_degree(ctx, m, j)
             for L in d.terms:
                 assert d.mark(L) == (-1) ** fixed_dim_irrep(ctx, L, m, j), (m, j, L)
