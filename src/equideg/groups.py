@@ -2,10 +2,11 @@
 
 Everything here works with a concrete element list; elements are addressed by
 their integer index and subgroups are stored as bitmasks over those indices.
-Group orders in this package are tiny (the main client is S4 x Z2, order 48),
-so brute force with bitmask arithmetic is both simple and fast enough.  What a
-group derives from its elements (element classes, the subgroup lattice, its
-conjugacy classes and their Weyl orders) is a memoized query on the group.
+Group orders here are small (48 for the bundled S4 x Z2, 240 for S5 x Z2), so
+the multiplication table is dense and the subgroup lattice is a search over
+Dimino joins, each a union of right cosets.  What a group derives from its
+elements (element classes, the subgroup lattice, its conjugacy classes and
+their Weyl orders) is a memoized query on the group.
 """
 
 from __future__ import annotations
@@ -175,6 +176,9 @@ class FiniteGroup:
     def __init__(self, degree: int, elements: Sequence[Permutation]):
         self.degree = degree
         elems = list(elements)
+        for p in elems:
+            if not isinstance(p, Permutation) or p.degree != degree:
+                raise NonPermutationInput(f"element of wrong degree (want {degree}): {p!r}")
         ident = Permutation.identity(degree)
         if ident not in elems:
             raise NonPermutationInput("element list must contain the identity")
@@ -183,23 +187,17 @@ class FiniteGroup:
         elems.insert(0, ident)
         self.elements: tuple[Permutation, ...] = tuple(elems)
         self.index = {p: i for i, p in enumerate(self.elements)}
-        n = len(self.elements)
-        self.order = n
-        mul = [[0] * n for _ in range(n)]
-        for i, p in enumerate(self.elements):
-            for j, q in enumerate(self.elements):
-                r = p * q
-                k = self.index.get(r)
-                if k is None:
-                    raise NonPermutationInput("element list is not closed under composition")
-                mul[i][j] = k
-        self.mul = mul
-        inv = [0] * n
-        for i, p in enumerate(self.elements):
-            inv[i] = self.index[p.inverse()]
-        self.inv = inv
+        self.order = len(self.elements)
+        # (p * q)(i) = p(q(i)), composed on image tuples and looked up by them
+        images = [p.images for p in self.elements]
+        at = {t: i for i, t in enumerate(images)}
+        try:
+            self.mul = mul = [[at[tuple(map(p.__getitem__, q))] for q in images] for p in images]
+        except KeyError:
+            raise NonPermutationInput("element list is not closed under composition") from None
+        self.inv = inv = [row.index(0) for row in mul]
         # conj_map[g][x] = g x g^-1
-        self.conj_map = [[mul[g][mul[x][inv[g]]] for x in range(n)] for g in range(n)]
+        self.conj_map = [[gx[row[ig]] for row in mul] for gx, ig in zip(mul, inv)]
         self._lock = threading.Lock()
         self._memo: dict[str, dict] = {}
 
@@ -238,19 +236,37 @@ class FiniteGroup:
 
     # -- subgroup level (bitmask representation) -------------------------------
 
-    def closure_mask(self, mask: int) -> int:
-        """Subgroup generated by an element set (bitmask): the identity,
-        right-multiplied by the set's elements until nothing new appears."""
-        gens = self.mask_elements(mask)
-        out, reached = 1, [0]
-        for a in reached:
-            row = self.mul[a]
+    def right_cosets(self, mask: int) -> list[int]:
+        """[c] = bitmask of the right coset H.c of the subgroup H = `mask`."""
+        members = self.mask_elements(mask)
+        cosets = [0] * self.order
+        for c in range(self.order):
+            if not cosets[c]:
+                coset = [self.mul[h][c] for h in members]
+                bits = sum(1 << x for x in coset)
+                for x in coset:
+                    cosets[x] = bits
+        return cosets
+
+    def join(self, cosets: Sequence[int], gens: Sequence[int]) -> int:
+        """Subgroup generated by a subgroup H, given as right_cosets(H), and
+        `gens`, which must include generators of H (Dimino's closure): H's
+        right cosets closed under right products with gens, where a product
+        rs outside the union adds the whole coset H.rs = (H.r).s."""
+        out, reps = cosets[0], [0]
+        for r in reps:
+            row = self.mul[r]
             for s in gens:
                 c = row[s]
                 if not (out >> c) & 1:
-                    out |= 1 << c
-                    reached.append(c)
+                    out |= cosets[c]
+                    reps.append(c)
         return out
+
+    def closure_mask(self, mask: int) -> int:
+        """Subgroup generated by an element set (bitmask): the join of the
+        trivial subgroup, whose right cosets are single elements, with it."""
+        return self.join([1 << c for c in range(self.order)], self.mask_elements(mask))
 
     def generating_set(self, mask: int) -> list[int]:
         """Generators of the subgroup `mask`, greedily by falling element order."""
@@ -267,7 +283,7 @@ class FiniteGroup:
         return Subgroup(self, self.closure_mask(mask))
 
     def mask_elements(self, mask: int) -> list[int]:
-        return [i for i in range(self.order) if (mask >> i) & 1]
+        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
     def conjugate_mask(self, mask: int, g: int) -> int:
         out = 0
@@ -284,28 +300,26 @@ class FiniteGroup:
         """Every subgroup, as a sorted list of bitmasks.
 
         Breadth-first over joins <H, g>, trying g once per pair of right
-        cosets H.g and H.g^-1, since <H, hg> = <H, g> = <H, g^-1>.
+        cosets H.g and H.g^-1, since <H, hg> = <H, g> = <H, g^-1>.  Each
+        join extends the generator list that first reached H by g.
         """
         if self.order > DEFAULT_LATTICE_CAP:
             raise ClosureCapExceeded(
                 f"subgroup lattice capped at order {DEFAULT_LATTICE_CAP}, group has {self.order}")
-        mul = self.mul
-        seen = {1}
+        gens = {1: []}  # each subgroup found -> the generator list that first reached it
         queue = [1]
         for mask in queue:
-            members = self.mask_elements(mask)
+            cosets = self.right_cosets(mask)
             done = mask
             for g in range(1, self.order):
                 if (done >> g) & 1:
                     continue
-                bigger = self.closure_mask(mask | (1 << g))
-                if bigger not in seen:
-                    seen.add(bigger)
+                bigger = self.join(cosets, gens[mask] + [g])
+                if bigger not in gens:
+                    gens[bigger] = gens[mask] + [g]
                     queue.append(bigger)
-                for x in (g, self.inv[g]):
-                    for h in members:
-                        done |= 1 << mul[h][x]
-        return sorted(seen)
+                done |= cosets[g] | cosets[self.inv[g]]
+        return sorted(gens)
 
     @memoized
     def subgroup_classes(self) -> list["SubgroupClass"]:

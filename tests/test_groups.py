@@ -87,6 +87,21 @@ def test_bad_generator_rejected():
         group_from_generators(4, [Permutation([0, 1, 2])])
 
 
+def test_element_list_must_be_closed():
+    # the identity and (1 2 3) miss (1 3 2) = (1 2 3)^2
+    with pytest.raises(NonPermutationInput, match="not closed"):
+        FiniteGroup(3, [Permutation.identity(3), Permutation.parse(3, "(1 2 3)")])
+
+
+def test_element_of_wrong_degree_is_named():
+    elements = [Permutation.identity(3), Permutation.parse(4, "(1 2)"),
+                Permutation.parse(3, "(1 2)")]
+    with pytest.raises(NonPermutationInput, match=r"wrong degree \(want 3\).*\(1 2\)"):
+        FiniteGroup(3, elements)
+    with pytest.raises(NonPermutationInput, match="wrong degree"):
+        FiniteGroup(3, [Permutation.identity(3), (1, 0, 2)])
+
+
 def test_direct_product_orders(s4, s4xz2):
     assert s4xz2.order == 48
     z1 = group_from_generators(1, [])
@@ -395,6 +410,38 @@ def test_lattice_closure_count_per_load(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "closure_mask", counted)
     bundled_model()
     assert 0 < len(calls) < 1500
+
+
+def test_lattice_join_count_per_load(monkeypatch):
+    # a work count, not a timing: per bundled load, 976 lattice joins on
+    # S4 x Z2 (one per pair of right cosets tried) and 99 element-set closures
+    calls = []
+    join = FiniteGroup.join
+
+    def counted(self, cosets, gens):
+        calls.append(len(gens))
+        return join(self, cosets, gens)
+
+    monkeypatch.setattr(FiniteGroup, "join", counted)
+    bundled_model()
+    assert len(calls) == 1075
+
+
+@pytest.mark.parametrize("name", ["C12", "D6", "A4", "S4xZ2", "S5xZ2"])
+def test_tables_match_permutation_composition(name):
+    g = {
+        "C12": lambda: cyclic_group(12),
+        "D6": lambda: _generated(6, "(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"),
+        "A4": lambda: _generated(4, "(1 2 3)", "(1 2)(3 4)"),
+        "S4xZ2": lambda: direct_product(symmetric_group(4), cyclic_group(2)),
+        "S5xZ2": lambda: direct_product(symmetric_group(5), cyclic_group(2)),
+    }[name]()
+    elems = g.elements
+    assert elems[0].is_identity() and len(g.index) == g.order == len(elems)
+    for i, p in enumerate(elems):
+        assert g.mul[i] == [g.index[p * q] for q in elems]
+        assert elems[g.inv[i]] == p.inverse()
+        assert g.conj_map[i] == [g.mul[g.mul[i][x]][g.inv[i]] for x in range(g.order)]
 
 
 def test_generator_images_must_respect_relations():

@@ -45,6 +45,7 @@ def s5():
 def test_group_sizes(s5):
     model, _ = s5
     assert model.gamma_prime.order == 240
+    assert len(model.gamma_prime.all_subgroups()) == 535
     assert len(model.gamma_prime.subgroup_classes()) == 57
 
 
