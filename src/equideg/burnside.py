@@ -207,7 +207,7 @@ def _product_finite(ctx: AmbientContext, a: OrbitType, b: OrbitType) -> dict[Orb
 
 
 @memoized
-def _part_type(ctx: AmbientContext, a: OrbitType, key: bytes) -> OrbitType:
+def _part_type(ctx: AmbientContext, a: OrbitType, key: int) -> OrbitType:
     """The type of the part of a's representative with membership key key (see
     intersections): the products of a with different types share its parts,
     so each part is built and interned once."""

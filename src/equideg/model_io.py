@@ -151,7 +151,8 @@ def _assemble(cfg: dict) -> Model:
         _require(isinstance(images, list) and len(images) == len(gens),
                  "action.generator_images must list one permutation per generator")
         k = len(images[0]) if images and isinstance(images[0], list) else degree
-        _require(all(isinstance(im, list) and sorted(im) == list(range(k)) for im in images),
+        _require(all(isinstance(im, list) and all(type(x) is int for x in im)
+                     and sorted(im) == list(range(k)) for im in images),
                  f"action.generator_images must be permutations of 0..{k - 1}")
         action = OrthogonalAction.from_permutation_images(gamma, gens, images, k)
     elif acfg.get("type") == "matrices":
@@ -237,7 +238,11 @@ def _assemble(cfg: dict) -> Model:
              "horizon.m_max and horizon.n_max must be integers, "
              f"0 <= m_max <= {MAX_ORDER} and 1 <= n_max <= {MAX_INDEX}")
     sup_mu = max(c.codomain()[1] for c in curves)
-    bessel = BesselZeroTable.sufficient_for(sup_mu, m_max, n_max)
+    try:
+        bessel = BesselZeroTable.sufficient_for(sup_mu, m_max, n_max)
+    except ValueError:
+        raise SchemaError(f"linearization.a = {a} puts eigenvalues up to {sup_mu:.6g}, beyond "
+                          f"the Bessel horizon m <= {MAX_ORDER}, n <= {MAX_INDEX}") from None
     critical = critical_points(curves, bessel)
 
     names = None

@@ -7,19 +7,20 @@ H's angles.  (ROT, t, g) is the rotation by t / L turns paired with gamma
 element g, and (REF, t, g) is the reflection kappa_a : z -> exp(2*pi*i*a) *
 conj(z), a = t / L, paired with g.  All conjugacy questions about
 O(2) x Gamma' reduce to scans over a finite grid of axis offsets, which is
-the truncation D_N x Gamma' of the ambient group.  A scan against k reads
-k's row-bit table at its own level: entry [c, v] has bit r set when
-r^-1 v r at O(2) code c lies in k, and one zero entry takes the codes off
-k's grid.  The AND of one entry per element of the scanned group settles
-all |Gamma'| rows of a step, and the entries' bits are the membership rows of
-intersections.  A subgroup's element arrays, row table and normalizer counts
-are groups.memoized queries on it, each built once per subgroup.  An exact
-necessary test runs before every scan.  n(H, K) is |{x : x H x^-1 <= K}| /
-|N(K)| on the grid; one doubled scan gives it on the base grid (even steps)
-and the doubled one, which must agree.  Exact Fractions appear only at the
-API boundary (the conjugator of SubgroupG.conjugate, the angles elements_of
-returns).  The enumeration covers only the classes with finite Weyl group
-(Phi_0), the ones the Burnside ring holds: its Goursat candidates have
+the truncation D_N x Gamma' of the ambient group.  On the grid 1/M a
+subgroup is a Python int with one bit per code (kind * M + tick) * |Gamma'|
++ g, and its orbit is the list of its distinct grid conjugates, built once
+per subgroup and grid from its distinct Gamma'-conjugates, as a step turns
+the reflection half of the int.  Containment, intersections and the counts
+are then big-int arithmetic over one orbit.  An exact necessary test runs
+before every scan.  n(H, K) is the number of conjugates of K containing H,
+counted on the base grid and on the doubled one, which must agree, and
+checked against the conjugators that map H into K, which number |N(H)| per
+conjugate of H inside K; |N(H)| on a grid is the grid's conjugators over
+H's orbit.  Exact Fractions appear only at the API boundary (the
+conjugator of SubgroupG.conjugate, the angles elements_of returns).  The
+enumeration covers only the classes with finite Weyl group (Phi_0), the
+ones the Burnside ring holds: its Goursat candidates have
 dihedral O(2)-projection.  It reads each candidate's fixed-space dimension
 in every irrep off its Goursat data, builds only those with a nonzero one,
 once per context, and decides isotropy exactly, from those integer
@@ -56,27 +57,6 @@ TWO_PI = 2.0 * math.pi
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-# -- O(2) element arithmetic (angles in turns) ----------------------------------
-
-def o2_mul(x, y):
-    kx, a = x
-    ky, b = y
-    if kx == ROT:
-        if ky == ROT:
-            return (ROT, (a + b) % 1)
-        return (REF, (b + a) % 1)
-    if ky == ROT:
-        return (REF, (a - b) % 1)
-    return (ROT, (a - b) % 1)
-
-
-def o2_inv(x):
-    k, a = x
-    if k == ROT:
-        return (ROT, (-a) % 1)
-    return x
 
 
 class SubgroupG:
@@ -190,7 +170,7 @@ class SubgroupG:
 
 def conjugate_in_g(h: SubgroupG, rep: SubgroupG) -> bool:
     """Whether two std-position subgroups are conjugate in O(2) x Gamma'.  The
-    scan runs against rep's row table, so rep should be the long-lived one."""
+    scan runs over rep's orbit, so rep should be the long-lived one."""
     if h.order != rep.order or h.rot_order != rep.rot_order or len(h.axes) != len(rep.axes):
         return False
     return _subconjugate(h, rep)
@@ -382,56 +362,82 @@ def grid_arrays(h: SubgroupG, M: int):
 
 
 @memoized
-def _inv_conj(gamma: FiniteGroup) -> np.ndarray:
-    """[r, v] = r^-1 v r: the Gamma' part of conjugating by row r."""
-    return np.array([gamma.conj_map[i] for i in gamma.inv], dtype=np.int64)
+def _conj_table(gamma: FiniteGroup) -> np.ndarray:
+    """[r, v] = r v r^-1: gamma.conj_map as an array."""
+    return np.array(gamma.conj_map, dtype=np.int64)
+
+
+def _bitsets(codes: np.ndarray) -> list[int]:
+    """One int per row of codes, with the bits at that row's codes set."""
+    width = int(codes.max()) // 8 + 1
+    buf = np.zeros(len(codes) * width, dtype=np.uint8)
+    np.bitwise_or.at(buf, (codes >> 3) + np.arange(0, buf.size, width)[:, None],
+                     (1 << (codes & 7)).astype(np.uint8))
+    raw = buf.tobytes()
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
 @memoized
-def _row_table(k: SubgroupG) -> np.ndarray:
-    """k's row-bit table at its own level L, shaped (2L + 1, |Gamma'|, bytes).
-
-    Bit r of entry [c, v] (bit r % 8 of byte r // 8) is set when row r maps
-    Gamma' element v into k at the O(2) code c = kind * L + tick, that is
-    when (c, r^-1 v r) is in k.  Entry 2L, for the codes off k's grid, is
-    zero."""
-    L, n = k.level, k.gamma.order
-    kinds, ticks, gammas, _ = grid_arrays(k, L)
-    member = np.zeros((2 * L + 1, n), dtype=bool)
-    member[kinds * L + ticks, gammas] = True
-    return np.packbits(member[:, _inv_conj(k.gamma)].transpose(0, 2, 1),
-                       axis=2, bitorder="little")
-
-
-# the scans' block size, in gathered table bytes
-SCAN_BLOCK = 1 << 16
-
-
-def _table_scan(h: SubgroupG, k: SubgroupG, M: int):
-    """(step, entries) for blocks of about SCAN_BLOCK bytes (at least one step)
-    of the grid 1/M, a multiple of both levels: entries[i, e] is k's table entry
-    for element e of h conjugated by the O(2) part x of step[i], so its bit r
-    is set when (x, r)^-1 e (x, r) lies in k.  Step two_c is x = (ROT, c) and
-    step M + two_c is x = (REF, c), two_c = 2cM in [0, M); c and c + 1/2 act
-    alike, so steps and rows meet every grid conjugator once up to the
-    order-2 kernel of the conjugation action."""
-    table = _row_table(k)
+def _grid_mask(h: SubgroupG, M: int) -> int:
+    """h as an int over the codes (kind * M + tick) * |Gamma'| + v of the grid
+    1/M, a multiple of h.level."""
     kinds, ticks, gammas, _ = grid_arrays(h, M)
-    L, q = k.level, M // k.level
-    per_block = max(1, SCAN_BLOCK // (h.order * table.shape[2]))
-    for s0 in range(0, 2 * M, per_block):
-        step = np.arange(s0, min(s0 + per_block, 2 * M))
-        # ROT keeps rotations and maps axis t to t - two_c; REF negates both
-        sign = np.where(step < M, 1, -1)[:, None]
-        o2 = (sign * (ticks - (step % M)[:, None] * kinds)) % M
-        yield step, table[np.where(o2 % q == 0, kinds * L + o2 // q, 2 * L), gammas]
+    return _bitsets(((kinds.astype(np.int64) * M + ticks) * h.gamma.order + gammas)[None, :])[0]
 
 
-def _containing_scan(h: SubgroupG, k: SubgroupG, M: int):
-    """(step, hits) per block of the grid 1/M: bit r of hits[i] is set when
-    the conjugator (x, r) of step[i] has (x, r)^-1 h (x, r) <= k."""
-    for step, entries in _table_scan(h, k, M):
-        yield step, np.bitwise_and.reduce(entries, axis=1)
+@memoized
+def _orbit(k: SubgroupG, M: int) -> tuple:
+    """The distinct conjugates of k on the grid 1/M, a multiple of k.level, in
+    scan order: steps, then rows, each at its first appearance.
+
+    The conjugator (x, r) of step two_c in [0, M) is x = (ROT, c) with
+    two_c = 2cM, and that of step M + two_c is x = (REF, c); c and c + 1/2
+    act alike, so steps and rows meet every grid conjugator once up to the
+    order-2 kernel of the conjugation action.  (x, r) k (x, r)^-1 takes
+    (ROT, t, v) to (ROT, t, r v r^-1) and (REF, t, v) to (REF, t + two_c,
+    r v r^-1) for x = (ROT, c), and to (ROT, -t, .) and (REF, two_c - t, .)
+    for x = (REF, c).  So rows with the same image of k are kept once, and a
+    step turns the top M |Gamma'| bits, the reflections', by two_c |Gamma'|.
+    Steps that differ by a rotation (ROT, s, e) of k agree, and when k holds
+    a reflection y, (x, r) y has a rotation for O(2) part, so the REF steps
+    repeat the ROT ones.  A cyclic k has no reflections to turn.
+
+    Returned as (width, entries), width = M |Gamma'|: an entry (shift, rot,
+    ref) is the conjugate rot with ref turned by shift bits (see _turned), and
+    the entries of one row share its two halves."""
+    n = k.gamma.order
+    width = M * n
+    kinds, ticks, gammas, _ = grid_arrays(k, M)
+    base = kinds.astype(np.int64) * M
+    conj = _conj_table(k.gamma)[:, gammas]
+    images = np.sort((base + ticks) * n + conj, axis=1)
+    raw, w = images.tobytes(), images.shape[1] * 8
+    rows: dict[bytes, int] = {}
+    for r in range(n):
+        rows.setdefault(raw[r * w:(r + 1) * w], r)
+    conj = conj[list(rows.values())]
+    low = (1 << width) - 1
+    period = M // k.z1_rot_count if k.axes else 1
+    steps = []
+    for t in ((ticks,) if k.axes else (ticks, -ticks % M)):
+        halves = [(b & low, b >> width) for b in _bitsets((base + t) * n + conj)]
+        steps += [(shift, rot, ref) for shift in range(0, period * n, n) for rot, ref in halves]
+    entries: dict[int, tuple] = {}
+    for c, step in zip(_turned(width, steps), steps):
+        entries.setdefault(c, step)
+    return width, tuple(entries.values())
+
+
+def _turned(width: int, entries):
+    """rot | (ref rotated left by shift within width bits) << width, per entry."""
+    low = (1 << width) - 1
+    for shift, rot, ref in entries:
+        yield rot | ((ref << shift | ref >> (width - shift)) & low) << width
+
+
+def _conjugates(k: SubgroupG, M: int):
+    """The conjugates of _orbit(k, M), as ints over the codes of the grid 1/M."""
+    return _turned(*_orbit(k, M))
 
 
 def _may_contain(h: SubgroupG, k: SubgroupG) -> bool:
@@ -449,40 +455,39 @@ def _may_contain(h: SubgroupG, k: SubgroupG) -> bool:
 
 
 def _subconjugate(h: SubgroupG, k: SubgroupG) -> bool:
-    """Some grid conjugate of h lies inside k (builds k's row table)."""
-    return _may_contain(h, k) and any(
-        hits.any() for _, hits in _containing_scan(h, k, math.lcm(h.level, k.level)))
+    """Some grid conjugate of h lies inside k (builds k's orbit)."""
+    if not _may_contain(h, k):
+        return False
+    M = math.lcm(h.level, k.level)
+    inner = _grid_mask(h, M)
+    return any(inner & c == inner for c in _conjugates(k, M))
 
 
 def intersections(a: SubgroupG, b: SubgroupG):
     """Distinct intersections of a with the grid conjugates of b, in scan
-    order: steps, then rows.  Each is yielded as its packed membership key,
-    np.packbits over a's sorted elements; intersection_elems decodes it.  Only
+    order (see _orbit).  Each is yielded as its key, an int with bit i set
+    for the i-th of a's sorted elements; intersection_elems decodes it.  Only
     intersections holding a reflection can have a finite Weyl group, so the
     others are skipped."""
     M = math.lcm(a.level, b.level)
-    kinds, _, _, elems = grid_arrays(a, M)
-    refl = kinds == REF
-    seen = set()
-    for _, entries in _table_scan(a, b, M):
-        # the (step, row) pairs that map some reflection of a into b
-        s, r = np.nonzero(np.unpackbits(np.bitwise_or.reduce(entries[:, refl], axis=1), axis=1,
-                                        count=a.gamma.order, bitorder="little"))
-        rows = (entries[s, :, r >> 3] >> (r & 7)[:, None].astype(np.uint8)) & 1
-        rows = rows[np.count_nonzero(rows, axis=1) > 1]
-        buf, w = np.packbits(rows, axis=1).tobytes(), -(-len(elems) // 8)
-        for i in range(len(rows)):
-            key = buf[i * w:(i + 1) * w]
-            if key not in seen:
-                seen.add(key)
-                yield key
+    mask, seen = _grid_mask(a, M), set()
+    reflections = 1 << M * a.gamma.order  # the bit of the least reflection code
+    for c in _conjugates(b, M):
+        x = mask & c
+        if x >= reflections and x not in seen:
+            seen.add(x)
+            # codes grow with the elements: a's i-th has i codes of a below it
+            key = 0
+            while x:
+                bit = x & -x
+                x ^= bit
+                key |= 1 << (mask & (bit - 1)).bit_count()
+            yield key
 
 
-def intersection_elems(a: SubgroupG, key: bytes) -> frozenset:
+def intersection_elems(a: SubgroupG, key: int) -> frozenset:
     """The elements of a (ticks over a.level) in one key of intersections."""
-    elems = grid_arrays(a, a.level)[3]
-    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=len(elems))
-    return frozenset(elems[x] for x in np.flatnonzero(bits))
+    return frozenset(e for i, e in enumerate(_elem_arrays(a)[3]) if key >> i & 1)
 
 
 # -- partial order, counts, Weyl groups --------------------------------------------
@@ -518,45 +523,35 @@ def n_amalgam(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> int:
         return 0
     if not h.rep.has_reflections:
         raise InfiniteWeyl(f"{h.symbol} has infinite Weyl group; n(H,K) undefined")
-    got, again = _containing_counts(h.rep, k.rep, 2)
+    got, again = (_containing_counts(h.rep, k.rep, mult) for mult in (1, 2))
     if got != again:
         raise StabilizationFailure(
             f"n({h.symbol},{k.symbol}) unstable under grid refinement: {got} vs {again}")
+    if got and not _counted_twice(h.rep, k.rep, got):
+        raise NonIntegralWeyl(f"n({h.symbol},{k.symbol}) = {got} disagrees with the normalizers")
     return got
 
 
-def _hit_counts(h: SubgroupG, k: SubgroupG, M: int) -> tuple[int, int]:
-    """Conjugators (x, r) of the grid 1/M, on even steps and on all, mapping h into k."""
-    even = every = 0
-    for step, hits in _containing_scan(h, k, M):
-        count = np.bitwise_count(hits).sum(axis=1)
-        every += int(count.sum())
-        even += int(count[step % M % 2 == 0].sum())
-    return even, every
+def _counted_twice(h: SubgroupG, k: SubgroupG, count: int) -> bool:
+    """Whether count conjugates of k containing h fit the conjugators of the
+    grid 1/M, M = lcm(h.level, k.level), that map h into k, counted twice:
+    |N(h)| per conjugate of h inside k, and |N(k)| per conjugate of k
+    containing h."""
+    M = math.lcm(h.level, k.level)
+    outer = _grid_mask(k, M)
+    inside = sum(c & outer == c for c in _conjugates(h, M))
+    return (inside * _normalizer_counts(h, M // h.level)
+            == count * _normalizer_counts(k, M // k.level))
 
 
-@memoized
-def _normalizer_hits(k: SubgroupG, M: int) -> tuple[int, int]:
-    """_hit_counts of k into itself on the grid 1/M."""
-    return _hit_counts(k, k, M)
-
-
-def _containing_counts(h: SubgroupG, k: SubgroupG, grid_mult: int) -> tuple[int, int]:
-    """Distinct conjugates of k containing h, over the conjugators of the even
-    steps and of all steps of one scan; at grid_mult 2 these are the counts on
-    the base grid and on the doubled grid.  y^-1 k y = z^-1 k z exactly when
-    y z^-1 normalizes k, so each count is the conjugators that map h into k
-    over those that map k onto itself, and a remainder is an error."""
+def _containing_counts(h: SubgroupG, k: SubgroupG, grid_mult: int) -> int:
+    """Distinct conjugates of k containing h on the grid 1/M, M = lcm(h.level,
+    k.level) * grid_mult."""
     if not _may_contain(h, k):
-        return 0, 0
+        return 0
     M = math.lcm(h.level, k.level) * grid_mult
-    hits = _hit_counts(h, k, M)
-    if not hits[1]:
-        return 0, 0
-    normal = _normalizer_hits(k, M)
-    if hits[0] % normal[0] or hits[1] % normal[1]:
-        raise NonIntegralWeyl(f"{hits} conjugators into k, {normal} normalizing it")
-    return hits[0] // normal[0], hits[1] // normal[1]
+    inner = _grid_mask(h, M)
+    return sum(inner & c == inner for c in _conjugates(k, M))
 
 
 @memoized
@@ -567,7 +562,7 @@ def ambient_weyl_order(ctx: AmbientContext, t: OrbitType) -> int:
     h = t.rep
     if not h.has_reflections:
         raise InfiniteWeyl(f"{t.symbol} has infinite Weyl group")
-    got, again = _normalizer_counts(h, 2)
+    got, again = _normalizer_counts(h, 1), _normalizer_counts(h, 2)
     if got != again:
         raise InfiniteWeyl(f"{t.symbol}: normalizer grows under grid refinement")
     if got % h.order:
@@ -575,16 +570,16 @@ def ambient_weyl_order(ctx: AmbientContext, t: OrbitType) -> int:
     return got // h.order
 
 
-def _normalizer_counts(h: SubgroupG, grid_mult: int) -> tuple[int, int]:
-    """Size of the normalizer intersected with the alignment grid, over the
-    conjugators of the even steps and of all steps of one scan.
-
-    Each hit of the scan accounts for two conjugators (see _table_scan),
-    which matches |N(H)| because the kernel of the conjugation action has
-    order 2.
-    """
-    even, every = _normalizer_hits(h, h.level * grid_mult)
-    return 2 * even, 2 * every
+def _normalizer_counts(h: SubgroupG, grid_mult: int) -> int:
+    """Size of the normalizer of h intersected with the grid 1/M, M = h.level
+    * grid_mult, by orbit-stabilizer: the 2M steps and |Gamma'| rows stand
+    for twice as many conjugators (see _orbit), which matches |N(h)| because
+    the kernel of the conjugation action has order 2."""
+    M = h.level * grid_mult
+    conjugators, size = 4 * M * h.gamma.order, len(_orbit(h, M)[1])
+    if conjugators % size:
+        raise NonIntegralWeyl(f"{size} conjugates do not divide {conjugators} conjugators")
+    return conjugators // size
 
 
 def coeff_scale(ctx: AmbientContext, t: OrbitType) -> int:

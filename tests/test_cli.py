@@ -142,6 +142,11 @@ Z3 = {**TRIANGLE,
     (("character_table", "rows"), 5),
     (("linearization", "zeta"), {"breakpoints": 5}),
     (("action", "generator_images"), [5, 5]),
+    (("action", "generator_images"), [["x", 2, 3, 0, 4, 5], [4, 0, 5, 2, 1, 3]]),
+    (("action", "generator_images"), [[None, 2, 3, 0, 4, 5], [4, 0, 5, 2, 1, 3]]),
+    # 1.0 sorts equal to 1
+    (("action", "generator_images"), [[1.0, 2, 3, 0, 4, 5], [4, 0, 5, 2, 1, 3]]),
+    (("linearization", "a"), 1e6),
     (("linearization", "a"), float("inf")),
     (("analysis", "k_fixed"), "false"),
     (("notes",), 5),
@@ -170,7 +175,8 @@ Z3 = {**TRIANGLE,
                                      [3, -1, -1, 0], [3, 1, -1, 0]]}),
 ]] + [
     (Z3, ("character_table", "class_representatives"), ["()", "(1 2)", "(1 3 2)"]),
-], ids=["n_max", "m_max", "rows", "zeta", "generator_images", "a_infinite",
+], ids=["n_max", "m_max", "rows", "zeta", "generator_images", "image_string", "image_none",
+        "image_float", "a_beyond_horizon", "a_infinite",
         "k_fixed_string", "notes_number", "notes_string", "generator_trailing_junk",
         "generator_letter", "mode_unknown", "m_max_too_large", "names_too_few",
         "names_number", "class_representative_unclosed", "rows_second_trivial",

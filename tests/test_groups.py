@@ -398,18 +398,21 @@ def test_closure_mask_matches_two_sided_closure(indices):
 
 
 def test_lattice_closure_count_per_load(monkeypatch):
-    # a work count, not a timing: one closure per pair of right cosets tried
-    # (4,176 per load with a closure for every (H, g) pair)
+    # a work count, not a timing: the lattice itself makes no closure_mask call
+    # (its joins are counted below); a bundled load closes 66 element sets in
+    # Subgroup.__post_init__ and 33 in subgroup_from_indices
     calls = []
     closure = FiniteGroup.closure_mask
 
     def counted(self, mask):
-        calls.append(mask)
+        calls.append(sys._getframe(1).f_code.co_name)
         return closure(self, mask)
 
     monkeypatch.setattr(FiniteGroup, "closure_mask", counted)
     bundled_model()
-    assert 0 < len(calls) < 1500
+    assert len(calls) == 99
+    assert {name: calls.count(name) for name in set(calls)} == {
+        "__post_init__": 66, "subgroup_from_indices": 33}
 
 
 def test_lattice_join_count_per_load(monkeypatch):

@@ -166,19 +166,20 @@ def _count_builds(monkeypatch, name):
 
 
 def test_cold_report_builds_each_scan_table_once(monkeypatch):
-    """One cold report builds the Gamma' conjugation index once, where each
-    row table used to rebuild it, and each scanned subgroup's row table and
-    normalizer counts once per subgroup (and grid)."""
-    inv = _count_builds(monkeypatch, "_inv_conj")
-    tables = _count_builds(monkeypatch, "_row_table")
-    normal = _count_builds(monkeypatch, "_normalizer_hits")
+    """One cold report builds the Gamma' conjugation table once, and each
+    scanned subgroup's orbit and grid mask once per subgroup and grid; a
+    second report builds none."""
+    table = _count_builds(monkeypatch, "_conj_table")
+    orbits = _count_builds(monkeypatch, "_orbit")
+    masks = _count_builds(monkeypatch, "_grid_mask")
     model = bundled_model()
     run_report(model)
-    assert len(inv) == 1 and inv[0][0] is model.ctx.gamma
-    assert len(tables) == len({id(k) for k, _ in tables}) == 175
-    assert 0 < len(normal) == len({(id(k), args) for k, args in normal})
+    assert len(table) == 1 and table[0][0] is model.ctx.gamma
+    assert len(orbits) == len({(id(k), args) for k, args in orbits}) == 289
+    assert 0 < len(masks) == len({(id(h), args) for h, args in masks})
+    built = len(masks)
     run_report(model)
-    assert len(inv) == 1 and len(tables) == 175
+    assert (len(table), len(orbits), len(masks)) == (1, 289, built)
 
 
 def test_subgroups_keep_every_cache_in_their_memo():

@@ -112,6 +112,10 @@ def test_schema_errors():
     ("group", "subgroup_names", ["Z1"] * 32),
     ("analysis", "alpha_bracket", -1),
     ("analysis", "alpha_bracket", 0),
+    ("linearization", "a", 1e6),
+    ("action", "generator_images", [["x", 2, 3, 0, 4, 5], [4, 0, 5, 2, 1, 3]]),
+    ("action", "generator_images", [[None, 2, 3, 0, 4, 5], [4, 0, 5, 2, 1, 3]]),
+    ("action", "generator_images", [[1.0, 2, 3, 0, 4, 5], [4, 0, 5, 2, 1, 3]]),
 ])
 def test_malformed_field_is_a_config_error_naming_it(section, key, value):
     cfg = bundled_config("six_membranes")

@@ -333,26 +333,43 @@ def test_n_counts_stable_under_grid_refinement(ctx):
         for k in pool:
             if h.key == k.key or not leq(ctx, h, k):
                 continue
-            base = _containing_counts(h.rep, k.rep, 1)[1]
-            assert _containing_counts(h.rep, k.rep, 3)[1] == base
-            # one doubled scan reads both the base and the doubled count
-            assert _containing_counts(h.rep, k.rep, 2) == (base, base)
+            base = _containing_counts(h.rep, k.rep, 1)
+            assert _containing_counts(h.rep, k.rep, 3) == base
+            assert _containing_counts(h.rep, k.rep, 2) == base
             pairs += 1
-        assert _normalizer_counts(h.rep, 2) == (_normalizer_counts(h.rep, 1)[1],
-                                                 _normalizer_counts(h.rep, 2)[1])
+        assert _normalizer_counts(h.rep, 2) == _normalizer_counts(h.rep, 1)
     assert pairs
     d4 = parse_symbol(ctx, "(D2^D1 x^D4 D4p)")
     d12 = fold(ctx, d4, 3)
-    pair = (_containing_counts(d4.rep, d12.rep, 1)[1], _containing_counts(d4.rep, d12.rep, 2)[1])
-    assert _containing_counts(d4.rep, d12.rep, 2) == pair
+    pair = (_containing_counts(d4.rep, d12.rep, 1), _containing_counts(d4.rep, d12.rep, 2))
     assert pair[0] == pair[1] == n_amalgam(ctx, d4, d12) >= 1
-    # the scan agrees with conjugation by Fraction arithmetic
+    # the orbit count agrees with conjugation by Fraction arithmetic
     M = math.lcm(d4.rep.level, d12.rep.level)
-    assert _grid_oracle(d4.rep, d12.rep, M) == (pair[0], _normalizer_counts(d12.rep, 1)[1])
+    assert _grid_oracle(d4.rep, d12.rep, M) == (pair[0], _normalizer_counts(d12.rep, 1))
+
+
+# O(2) element arithmetic, angles in turns
+
+def o2_mul(x, y):
+    kx, a = x
+    ky, b = y
+    if kx == ROT:
+        if ky == ROT:
+            return (ROT, (a + b) % 1)
+        return (REF, (b + a) % 1)
+    if ky == ROT:
+        return (REF, (a - b) % 1)
+    return (ROT, (a - b) % 1)
+
+
+def o2_inv(x):
+    k, a = x
+    if k == ROT:
+        return (ROT, (-a) % 1)
+    return x
 
 
 def test_element_arithmetic_closure(ctx):
-    from equideg.orbit_types import o2_inv, o2_mul
     t = parse_symbol(ctx, "(D2^D1 x^D4 D4p)")
     els = elements_of(ctx, t)
     gamma = ctx.gamma
@@ -433,19 +450,22 @@ def test_ambient_weyl_order_rejects_non_multiple_normalizer(ctx, monkeypatch):
     ot = importlib.import_module("equideg.orbit_types")
     fresh = AmbientContext(ctx.gamma, ctx.irreps, ctx.class_names)
     t = fresh.intern(parse_symbol(ctx, "(D2^D1 x^D4 D4p)").rep)
-    monkeypatch.setattr(ot, "_normalizer_counts", lambda h, mult: (h.order + 2,) * 2)
+    monkeypatch.setattr(ot, "_normalizer_counts", lambda h, mult: h.order + 2)
     with pytest.raises(NonIntegralWeyl):
         ambient_weyl_order(fresh, t)
 
 
 def test_n_amalgam_rejects_non_multiple_normalizer(ctx, monkeypatch):
-    # n(H, K) is the conjugator count over the normalizer hits of K, which
-    # must divide it exactly
+    # n(H, K) is counted twice: the conjugators mapping H into K are |N(H)|
+    # per conjugate of H inside K and |N(K)| per conjugate of K containing H,
+    # so a normalizer of K that does not fit the count is an error
     ot = importlib.import_module("equideg.orbit_types")
     fresh = AmbientContext(ctx.gamma, ctx.irreps, ctx.class_names)
     h = fresh.intern(parse_symbol(ctx, "(D2^D1 x^D4 D4p)").rep)
     k = fold(fresh, h, 3)
     assert leq(fresh, h, k)
-    monkeypatch.setattr(ot, "_normalizer_hits", lambda k, M: (10007, 10007))
+    normalizer = ot._normalizer_counts
+    monkeypatch.setattr(ot, "_normalizer_counts",
+                        lambda s, mult: 10007 if s is k.rep else normalizer(s, mult))
     with pytest.raises(NonIntegralWeyl):
         n_amalgam(fresh, h, k)

@@ -1,4 +1,4 @@
-"""The blocked row-bit-table scan and the per-context Goursat pool, against
+"""The conjugation orbits and the per-context Goursat pool, against
 test-local copies of the one-conjugator-per-step scan of packed codes and of
 the rebuild-per-irrep enumeration they replaced, and the pool's filter on
 Goursat data against the fixed dimensions of the built candidates."""
@@ -6,6 +6,7 @@ Goursat data against the fixed dimensions of the built candidates."""
 import functools
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from equideg.orbit_types import (
     _isotropy_classes,
     _may_contain,
     _normalizer_counts,
+    _orbit,
     conjugate_in_g,
     fixed_dim_irrep,
     grid_arrays,
@@ -144,33 +146,68 @@ def _fresh(types):
     return [SubgroupG(h.gamma, h.elems, h.level) for h in types]
 
 
-@pytest.mark.parametrize("which, block", [
-    ("six", None), ("six", 500), ("triangle", None), ("triangle", 8),
-], ids=["default-block", "split-blocks", "triangle", "triangle-split-blocks"])
-def test_blocked_scan_matches_step_scan(which, block, monkeypatch):
-    if block is not None:
-        # blocks of a few steps for the smallest groups and of one step
-        # otherwise
-        monkeypatch.setattr(ot, "SCAN_BLOCK", block)
+# the ids are those of the blocked row-table scan the orbits replaced
+@pytest.mark.parametrize("which", ["six", "triangle"], ids=["default-block", "triangle"])
+def test_blocked_scan_matches_step_scan(which):
+    """Every scan query against the step scan, on the base grid and the
+    doubled one: the doubled grid's even steps are the base grid's."""
     types = _fresh(finite_types(which))
-    # some scan runs over several blocks, and some over a cyclic group
-    assert block is None or any(2 * h.level > block // h.order for h in types)
+    # some scan runs over a cyclic group, and some on a proper multiple of a level
     assert any(h.rot_order and not h.axes for h in types)
     assert {2 * h.level for h in types} & {h.level for h in types}
     pairs = contained = 0
     for h in types:
-        for grid_mult in (1, 2):
-            assert _normalizer_counts(h, grid_mult) == _step_normalizer_counts(h, grid_mult)
+        got = (_normalizer_counts(h, 1), _normalizer_counts(h, 2))
+        assert _step_normalizer_counts(h, 2) == got
+        assert _step_normalizer_counts(h, 1)[1] == got[0]
         for k in types:
             assert conjugate_in_g(h, k) == _step_conjugate_in_g(h, k)
             parts = [intersection_elems(h, key) for key in intersections(h, k)]
             assert parts == _step_intersections(h, k)
-            for grid_mult in (1, 2):
-                got = _containing_counts(h, k, grid_mult)
-                assert got == _step_containing_counts(h, k, grid_mult)
-                contained += got[1] > 0
+            got = (_containing_counts(h, k, 1), _containing_counts(h, k, 2))
+            assert _step_containing_counts(h, k, 2) == got
+            assert _step_containing_counts(h, k, 1)[1] == got[0]
+            contained += (got[0] > 0) + (got[1] > 0)
             pairs += 1
     assert pairs == len(types) ** 2 and contained > len(types)
+
+
+def _is_closed(gamma, M, codes):
+    """Whether the (kind, tick, g) elements with the given codes (kind * M +
+    tick) * |Gamma'| + g are closed under the product of O(2) x Gamma'."""
+    n = gamma.order
+    kinds, ticks, gs = codes // (M * n), codes // n % M, codes % n
+    rot = (kinds == ROT)[:, None]
+    # rho_a rho_b = rho_(a+b), rho_a kappa_b = kappa_(a+b), kappa_a rho_b =
+    # kappa_(a-b), kappa_a kappa_b = rho_(a-b)
+    tick = np.where(rot, ticks[:, None] + ticks, ticks[:, None] - ticks) % M
+    g = np.array(gamma.mul)[gs[:, None], gs]
+    member = np.zeros(2 * M * n, dtype=bool)
+    member[codes] = True
+    return bool(member[((kinds[:, None] ^ kinds) * M + tick) * n + g].all())
+
+
+@pytest.mark.parametrize("which", ["six", "triangle"])
+def test_orbit_times_stabilizer_is_the_grid_group(which):
+    """On the grid 1/M, M the level and twice it, the orbit of H times the
+    (step, row) pairs the step scan finds mapping H onto itself is all 2M
+    |Gamma'| pairs, and every orbit member is a subgroup of H's order."""
+    types = _fresh(finite_types(which))
+    members = 0
+    for h in types:
+        gamma, n = h.gamma, h.gamma.order
+        for mult in (1, 2):
+            M = h.level * mult
+            orbit = list(ot._conjugates(h, M))
+            assert len(orbit) == len(_orbit(h, M)[1]) == len(set(orbit))
+            assert len(orbit) * _step_normalizer_counts(h, mult)[1] // 2 == 2 * M * n
+            for c in orbit:
+                bits = np.array(list(bin(c)[:1:-1])) == "1"
+                codes = np.flatnonzero(bits)
+                assert len(codes) == h.order
+                assert _is_closed(gamma, M, codes)
+                members += 1
+    assert members > 2 * len(types)
 
 
 @pytest.mark.parametrize("which", ["six", "triangle"])
@@ -301,16 +338,18 @@ def test_cold_report_work_counts(monkeypatch):
 
 def test_cold_report_scan_count(monkeypatch):
     """The necessary test in front of leq, conjugate_in_g and the counts
-    skips most hopeless scans: a cold report runs at most 2,400 containment
-    scans (3,889 without it)."""
+    skips most hopeless scans: a cold report tests containment against at
+    most 2,400 orbits (1,963 orbit scans, and 3,921 with only the order
+    test in front)."""
     model = bundled_model()
     calls = []
-    scan = ot._containing_scan
+    conjugates = ot._conjugates
 
-    def counting(*args):
-        calls.append(args)
-        return scan(*args)
+    def counting(k, M):
+        if sys._getframe(1).f_code.co_name != "intersections":
+            calls.append((k, M))
+        return conjugates(k, M)
 
-    monkeypatch.setattr(ot, "_containing_scan", counting)
+    monkeypatch.setattr(ot, "_conjugates", counting)
     run_report(model)
     assert 0 < len(calls) <= 2400
