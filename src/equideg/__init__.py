@@ -35,9 +35,7 @@ from .groups import (
     SubgroupClass,
     cyclic_group,
     direct_product,
-    fixed_dim,
     group_from_generators,
-    isotypic_decompose,
     n_count,
     symmetric_group,
     weyl_order,
@@ -46,7 +44,6 @@ from .model_io import (
     Model,
     bundled_config,
     bundled_model,
-    coupling_spectrum,
     load_model,
     model_kernel_mode,
     report_json,

@@ -21,8 +21,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     ClosureCapExceeded,
-    NonIntegralMultiplicity,
-    NonIntegralTrace,
     NonIntegralWeyl,
     NonPermutationInput,
     NotASubgroup,
@@ -565,39 +563,6 @@ class OrthogonalAction:
 
     def character(self, i: int) -> float:
         return float(self.matrices[i].trace())
-
-
-def isotypic_decompose(action: OrthogonalAction, table: CharacterTable) -> list[tuple[str, int]]:
-    """Multiplicities of each table row in the action character."""
-    g = action.group
-    chi_v = [action.character(rep) for rep in table.class_representatives]
-    out = []
-    for label, row in zip(table.labels, table.rows):
-        m = sum(size * x * float(y) for size, x, y in zip(table.class_sizes, chi_v, row)) / g.order
-        snapped = round(m)
-        if abs(m - snapped) > 1e-9 or snapped < 0:
-            raise NonIntegralMultiplicity(f"multiplicity of {label} is {m}")
-        out.append((label, int(snapped)))
-    dim_total = sum(round(row[table._identity_column()]) * mult for (label, mult), row in zip(out, table.rows))
-    if dim_total != action.dimension:
-        raise NonIntegralMultiplicity(
-            f"multiplicities sum to dimension {dim_total}, action has {action.dimension}")
-    return out
-
-
-def fixed_dim(action: OrthogonalAction, h: Subgroup) -> int:
-    """dim V^h by averaging the character over h."""
-    if h.parent is not action.group:
-        raise NotASubgroup("subgroup belongs to a different group")
-    tot = 0.0
-    members = h.members()
-    for x in members:
-        tot += action.character(x)
-    val = tot / len(members)
-    snapped = round(val)
-    if abs(val - snapped) > 1e-9:
-        raise NonIntegralTrace(f"averaged trace {val} is not an integer")
-    return int(snapped)
 
 
 # -- canned groups ---------------------------------------------------------------

@@ -151,6 +151,7 @@ def _assemble(cfg: dict) -> Model:
         _require(isinstance(images, list) and len(images) == len(gens),
                  "action.generator_images must list one permutation per generator")
         k = len(images[0]) if images and isinstance(images[0], list) else degree
+        _require(k >= 1, "action.generator_images must permute at least one coordinate")
         _require(all(isinstance(im, list) and all(type(x) is int for x in im)
                      and sorted(im) == list(range(k)) for im in images),
                  f"action.generator_images must be permutations of 0..{k - 1}")
@@ -368,14 +369,6 @@ def model_kernel_mode(model: Model, cid, orbit_type_symbol: Optional[str] = None
 
 
 # -- report -----------------------------------------------------------------------------
-
-def coupling_spectrum(model: Model) -> list[tuple[int, float, int]]:
-    """(j, weight, block multiplicity in V) for every isotypic component."""
-    out = []
-    for comp in model.components:
-        out.append((comp.j, model.weights[comp.j], comp.irrep_dim * comp.multiplicity))
-    return out
-
 
 def _element_terms(e: BurnsideElement) -> list[list]:
     return [[sym, c] for sym, c in e.sorted_terms()]

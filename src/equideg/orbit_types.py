@@ -21,10 +21,11 @@ H's orbit.  Exact Fractions appear only at the API boundary (the
 conjugator of SubgroupG.conjugate, the angles elements_of returns).  The
 enumeration covers only the classes with finite Weyl group (Phi_0), the
 ones the Burnside ring holds: its Goursat candidates have
-dihedral O(2)-projection.  It reads each candidate's fixed-space dimension
-in every irrep off its Goursat data, builds only those with a nonzero one,
-once per context, and decides isotropy exactly, from those integer
-dimensions and containment between candidate classes.
+dihedral O(2)-projection.  It skips the kernel shapes whose rotations move
+every vector, reads each other candidate's fixed-space dimension in every
+irrep off its Goursat data, builds only those with a nonzero one, once per
+context, and decides isotropy exactly, from those integer dimensions and
+containment in the candidate classes kept so far.
 
 Subgroups with a full O(2) factor (the only infinite ones we need) are kept
 symbolically and delegate everything to Gamma'.
@@ -368,7 +369,9 @@ def _conj_table(gamma: FiniteGroup) -> np.ndarray:
 
 
 def _bitsets(codes: np.ndarray) -> list[int]:
-    """One int per row of codes, with the bits at that row's codes set."""
+    """One int per row of codes, with the bits at that row's codes set: one
+    vectorized pass, which beats per-row int sums over wide grids and large
+    Gamma'."""
     width = int(codes.max()) // 8 + 1
     buf = np.zeros(len(codes) * width, dtype=np.uint8)
     np.bitwise_or.at(buf, (codes >> 3) + np.arange(0, buf.size, width)[:, None],
@@ -380,9 +383,10 @@ def _bitsets(codes: np.ndarray) -> list[int]:
 @memoized
 def _grid_mask(h: SubgroupG, M: int) -> int:
     """h as an int over the codes (kind * M + tick) * |Gamma'| + v of the grid
-    1/M, a multiple of h.level."""
-    kinds, ticks, gammas, _ = grid_arrays(h, M)
-    return _bitsets(((kinds.astype(np.int64) * M + ticks) * h.gamma.order + gammas)[None, :])[0]
+    1/M, a multiple of h.level: one bit per element, summed as plain ints,
+    which for one row is quicker than numpy's per-call overhead."""
+    u, n = M // h.level, h.gamma.order
+    return sum(1 << (kind * M + t * u) * n + g for kind, t, g in h.elems)
 
 
 @memoized
@@ -741,16 +745,22 @@ class _Quotient:
         return x
 
 
-def _candidate_subgroups(ctx: AmbientContext, amax: int):
+def _candidate_subgroups(ctx: AmbientContext, m: int):
     """Goursat data (a1, shape, b, q2, iso) of the candidate isotropy groups
-    with dihedral O(2)-projection D_{a1} in W_m (x) V_j^- (amax = m *
-    exponent); _build_candidate builds one."""
+    with dihedral O(2)-projection D_{a1}, a1 | m * exponent, in W_m (x)
+    V_j^-; _build_candidate builds one.
+
+    b is the order of the pure rotations Z_b in the shape's O(2)-kernel: the
+    rotation kernel's own b, a1 / 2 for the half-dihedral one and a1 for the
+    full one.  Such a candidate holds (2 pi / b, e), which turns W_m (x)
+    V_j^- by 2 pi m / b and fixes no nonzero vector unless b | m, so the
+    other shapes are skipped before their quotients are built."""
     gamma = ctx.gamma
     classes = gamma.subgroup_classes()
     all_subs = gamma.all_subgroups()
     normal: dict[int, list[int]] = {}  # class -> normal subgroups of its representative
     quotients: dict[tuple[int, int], _Quotient] = {}
-    for a1 in _divisors(amax):
+    for a1 in _divisors(m * ctx.exponent):
         # kernel shapes inside D_{a1}
         shapes = []
         for b in _divisors(a1):
@@ -759,6 +769,8 @@ def _candidate_subgroups(ctx: AmbientContext, amax: int):
             shapes.append(("halfdihedral", a1 // 2))  # D_{a1/2}, quotient Z_2
         shapes.append(("fulldihedral", a1))  # quotient trivial
         for shape, b in shapes:
+            if m % b:
+                continue
             q1_size = (a1 // b) * (2 if shape == "rotkernel" else 1)
             for ci, cls in enumerate(classes):
                 k2_mask = cls.representative.mask
@@ -853,11 +865,23 @@ def orbit_types_direct(ctx: AmbientContext, m: int, j: int):
 
 
 def _isotropy_classes(pool, dim, order, below):
-    """Members of pool that are the stabilizers of their own nonzero fixed space."""
-    # H < K gives Fix(K) <= Fix(H), so an equal dimension means K fixes all of Fix(H)
-    return [h for h in pool if dim(h) and not any(
-        order(k) > order(h) and order(k) % order(h) == 0 and dim(k) == dim(h) and below(h, k)
-        for k in pool)]
+    """Members of pool that are the stabilizers of their own nonzero fixed space.
+
+    H < K gives Fix(K) <= Fix(H), so an equal dimension means K fixes all of
+    Fix(H): h is dropped when some k of larger order, a multiple of h's, has
+    h's dim and below(h, k).  The sweep visits the nonzero members by
+    descending order and tests each h against the members kept so far only.
+    That is exact: a dropped k has such an overgroup k' of larger order,
+    which then is one for h too, and the chain ends at a kept member, visited
+    before h.  The kept members are returned in pool order."""
+    nonzero = [h for h in pool if dim(h)]
+    kept = []
+    for h in sorted(nonzero, key=order, reverse=True):
+        if not any(order(k) > order(h) and order(k) % order(h) == 0 and dim(k) == dim(h)
+                   and below(h, k) for k in kept):
+            kept.append(h)
+    kept = set(kept)
+    return [h for h in nonzero if h in kept]
 
 
 def _orbit_types_m0(ctx: AmbientContext, j: int):
@@ -876,7 +900,7 @@ def _goursat_pool(ctx: AmbientContext, m: int):
     dim Fix per active irrep; built once per context.  The dims come from the
     Goursat data, so only the candidates kept are built."""
     pool, seen = [], set()
-    for data in _candidate_subgroups(ctx, m * ctx.exponent):
+    for data in _candidate_subgroups(ctx, m):
         dims = _candidate_dims(m, *data)
         if not any(dims.values()):
             continue

@@ -19,7 +19,7 @@ from equideg.bifurcation import (
 )
 from equideg.burnside import BurnsideElement
 from equideg.degrees import basic_degree, degree_product, fold_element
-from equideg.groups import CharacterTable, Permutation, isotypic_decompose
+from equideg.groups import CharacterTable, Permutation
 from equideg.model_io import bundled_model, model_kernel_mode, run_report
 from equideg.orbit_types import fixed_dim_irrep, fold, maximal_types, x0_of
 from equideg.spectrum import BesselZeroTable, bessel_zero_sq
@@ -33,6 +33,7 @@ from s5_fixtures import (
     RABINOWITZ_SUM,
     bessel_entries,
 )
+from test_groups import isotypic_decompose
 
 
 def _ok(n, text):

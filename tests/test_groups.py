@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from equideg.errors import (
     NonIntegralMultiplicity,
+    NonIntegralTrace,
     NonIntegralWeyl,
     NonPermutationInput,
     NotASubgroup,
@@ -20,9 +21,7 @@ from equideg.groups import (
     Subgroup,
     cyclic_group,
     direct_product,
-    fixed_dim,
     group_from_generators,
-    isotypic_decompose,
     n_count,
     symmetric_group,
     weyl_order,
@@ -213,6 +212,36 @@ def test_n_count_lagrange_s4xz2(s4xz2):
         for c in classes:
             if c.order % h.order != 0:
                 assert n_count(s4xz2, h, c) == 0
+
+
+def isotypic_decompose(action: OrthogonalAction, table: CharacterTable) -> list[tuple[str, int]]:
+    """Multiplicities of each table row in the action character."""
+    g = action.group
+    chi_v = [action.character(rep) for rep in table.class_representatives]
+    out = []
+    for label, row in zip(table.labels, table.rows):
+        m = sum(size * x * float(y) for size, x, y in zip(table.class_sizes, chi_v, row)) / g.order
+        snapped = round(m)
+        if abs(m - snapped) > 1e-9 or snapped < 0:
+            raise NonIntegralMultiplicity(f"multiplicity of {label} is {m}")
+        out.append((label, int(snapped)))
+    dim_total = sum(round(row[table._identity_column()]) * mult
+                    for (label, mult), row in zip(out, table.rows))
+    if dim_total != action.dimension:
+        raise NonIntegralMultiplicity(
+            f"multiplicities sum to dimension {dim_total}, action has {action.dimension}")
+    return out
+
+
+def fixed_dim(action: OrthogonalAction, h: Subgroup) -> int:
+    """dim V^h by averaging the character over h."""
+    if h.parent is not action.group:
+        raise NotASubgroup("subgroup belongs to a different group")
+    val = sum(action.character(x) for x in h.members()) / h.order
+    snapped = round(val)
+    if abs(val - snapped) > 1e-9:
+        raise NonIntegralTrace(f"averaged trace {val} is not an integer")
+    return int(snapped)
 
 
 def test_isotypic_decompose_six_membranes(s4):

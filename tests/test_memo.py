@@ -175,11 +175,11 @@ def test_cold_report_builds_each_scan_table_once(monkeypatch):
     model = bundled_model()
     run_report(model)
     assert len(table) == 1 and table[0][0] is model.ctx.gamma
-    assert len(orbits) == len({(id(k), args) for k, args in orbits}) == 289
+    assert len(orbits) == len({(id(k), args) for k, args in orbits}) == 249
     assert 0 < len(masks) == len({(id(h), args) for h, args in masks})
     built = len(masks)
     run_report(model)
-    assert (len(table), len(orbits), len(masks)) == (1, 289, built)
+    assert (len(table), len(orbits), len(masks)) == (1, 249, built)
 
 
 def test_subgroups_keep_every_cache_in_their_memo():

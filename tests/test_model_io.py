@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equideg.errors import (
+    ComputationError,
     ConfigError,
     EquivarianceViolation,
     NonMonotoneCurve,
@@ -17,12 +18,13 @@ from equideg.errors import (
 )
 from equideg.model_io import (
     bundled_config,
-    coupling_spectrum,
     load_model,
     model_kernel_mode,
     report_json,
     run_report,
 )
+
+from test_generality import TRIANGLE
 
 # reports as the CLI writes them, kept byte-exact by the benchmark's check
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -33,8 +35,9 @@ W2 = np.array([1.0, 0.0, 1.0, 0.0, -1.0, -1.0])
 
 def test_bundled_weights_and_multiplicities(model):
     assert {j: round(w, 9) for j, w in model.weights.items()} == {0: 16.0, 2: 22.0, 3: 20.0}
-    spec = coupling_spectrum(model)
-    assert [(j, round(w, 9), mult) for j, w, mult in spec] == [(0, 16.0, 1), (2, 22.0, 2), (3, 20.0, 3)]
+    spec = [(c.j, round(model.weights[c.j], 9), c.irrep_dim * c.multiplicity)
+            for c in model.components]
+    assert spec == [(0, 16.0, 1), (2, 22.0, 2), (3, 20.0, 3)]
     # numeric eigensolve oracle on the assembled 6x6 coupling
     vals = sorted(np.linalg.eigvalsh(model.coupling).round(9))
     assert vals == [16.0, 20.0, 20.0, 20.0, 22.0, 22.0]
@@ -116,6 +119,7 @@ def test_schema_errors():
     ("action", "generator_images", [["x", 2, 3, 0, 4, 5], [4, 0, 5, 2, 1, 3]]),
     ("action", "generator_images", [[None, 2, 3, 0, 4, 5], [4, 0, 5, 2, 1, 3]]),
     ("action", "generator_images", [[1.0, 2, 3, 0, 4, 5], [4, 0, 5, 2, 1, 3]]),
+    ("action", "generator_images", [[], []]),
 ])
 def test_malformed_field_is_a_config_error_naming_it(section, key, value):
     cfg = bundled_config("six_membranes")
@@ -242,3 +246,63 @@ def test_multiplicity_two_block_with_scalar_coupling():
     assert [c.multiplicity for c in m.components] == [2]
     assert list(m.weights.values()) == [2.0]
     assert m.critical == []  # window (10, 12) holds no squared zero
+
+
+# -- mutated configs ---------------------------------------------------------------
+
+_BAD_VALUES = (None, True, -1, 0, 0.5, 1e6, float("nan"), float("inf"), "x", "", [], {},
+               [[]], [0])
+
+
+def _paths(value, prefix=()):
+    """The key or index path of every entry under value, parents first."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _mutate(cfg, kind, pick, value):
+    """Delete an entry, append a copy of a list's last item to it (or 0 to an
+    empty one), or set an entry to value; pick indexes the candidate paths."""
+    paths = [p for p in _paths(cfg) if kind != "grow" or isinstance(_at(cfg, p), list)]
+    if not paths:
+        return
+    path = paths[pick % len(paths)]
+    parent, key = _at(cfg, path[:-1]), path[-1]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "grow":
+        parent[key].append(copy.deepcopy(parent[key][-1]) if parent[key] else 0)
+    else:
+        parent[key] = copy.deepcopy(value)
+
+
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(("delete", "grow", "set")),
+                                st.integers(0, 1000), st.sampled_from(_BAD_VALUES)),
+                      min_size=1, max_size=2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_MUTATIONS)
+def test_mutated_config_fails_only_with_its_error_kind(mutations):
+    """One or two mutations of the triangle config: load_model raises only a
+    ConfigError, and run_report on what loads only a ComputationError."""
+    cfg = copy.deepcopy(TRIANGLE)
+    for mutation in mutations:
+        _mutate(cfg, *mutation)
+    try:
+        model = load_model(cfg)
+    except ConfigError:
+        return
+    try:
+        run_report(model)
+    except ComputationError:
+        pass

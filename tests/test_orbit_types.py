@@ -258,7 +258,7 @@ def _check_isotropy_against_grid(ctx):
     for j in ctx.active_js():
         keys = {t.key for t in orbit_types(ctx, 1, j)}
         pool = {}
-        for data in _candidate_subgroups(ctx, ctx.exponent):
+        for data in _candidate_subgroups(ctx, 1):
             h = _build_candidate(ctx, *data)
             if _fixed_block(ctx, j, h).shape[2]:
                 t = ctx.intern(h)

@@ -1,7 +1,8 @@
 """The conjugation orbits and the per-context Goursat pool, against
 test-local copies of the one-conjugator-per-step scan of packed codes and of
-the rebuild-per-irrep enumeration they replaced, and the pool's filter on
-Goursat data against the fixed dimensions of the built candidates."""
+the rebuild-per-irrep enumeration they replaced, the pool's filter on Goursat
+data against the fixed dimensions of every built candidate, and the isotropy
+sweep against the all-pairs rule."""
 
 import functools
 import importlib
@@ -21,13 +22,18 @@ from equideg.orbit_types import (
     _build_candidate,
     _candidate_dims,
     _candidate_subgroups,
+    _class_fix_dim,
     _containing_counts,
+    _divisors,
     _fix_dims,
+    _gamma_mask_leq_class,
     _goursat_pool,
-    _isotropy_classes,
+    _grid_mask,
+    _isos,
     _may_contain,
     _normalizer_counts,
     _orbit,
+    _Quotient,
     conjugate_in_g,
     fixed_dim_irrep,
     grid_arrays,
@@ -211,6 +217,22 @@ def test_orbit_times_stabilizer_is_the_grid_group(which):
 
 
 @pytest.mark.parametrize("which", ["six", "triangle"])
+def test_grid_mask_is_the_code_formula(which):
+    """_grid_mask sets the bits (kind * M + tick) * |Gamma'| + g that numpy
+    computes from the element arrays, on every finite type rep a report
+    interns, at M = level and twice it."""
+    model = bundled_model() if which == "six" else load_model(TRIANGLE)
+    run_report(model)
+    reps = [t.rep for t in model.ctx._types if t.is_finite]
+    assert len(reps) > 25
+    for h in _fresh(reps):
+        for M in (h.level, 2 * h.level):
+            kinds, ticks, gammas, _ = grid_arrays(h, M)
+            codes = (kinds.astype(np.int64) * M + ticks) * h.gamma.order + gammas
+            assert _grid_mask(h, M) == sum(1 << int(c) for c in codes), (h, M)
+
+
+@pytest.mark.parametrize("which", ["six", "triangle"])
 def test_containment_pretest_is_sound(which):
     """_may_contain, the exact necessary test in front of every scan, is
     never False where the step scan finds h inside a conjugate of k."""
@@ -247,21 +269,64 @@ def _char_fix_dim(ctx, h, j, m=1):
     return round(tot / h.order)
 
 
-def _rebuilt_enum(ctx, j):
-    """The m = 1 orbit types of irrep j, rebuilding the Goursat candidates."""
+def _every_candidate(ctx, m):
+    """The Goursat data of _candidate_subgroups(ctx, m) in its order, with the
+    kernel shapes whose rotations Z_b have b not dividing m kept in place."""
+    gamma = ctx.gamma
+    quotients = {}
+    for a1 in _divisors(m * ctx.exponent):
+        shapes = [("rotkernel", b) for b in _divisors(a1)]
+        if a1 % 2 == 0:
+            shapes.append(("halfdihedral", a1 // 2))
+        shapes.append(("fulldihedral", a1))
+        for shape, b in shapes:
+            q1_size = (a1 // b) * (2 if shape == "rotkernel" else 1)
+            for cls in gamma.subgroup_classes():
+                k2 = cls.representative.mask
+                if cls.order % q1_size:
+                    continue
+                gens = gamma.generating_set(k2)
+                for z2 in gamma.all_subgroups():
+                    if (z2 & ~k2 or z2.bit_count() != cls.order // q1_size
+                            or any(gamma.conjugate_mask(z2, x) != z2 for x in gens)):
+                        continue
+                    if (k2, z2) not in quotients:
+                        quotients[k2, z2] = _Quotient(ctx, k2, z2)
+                    q2 = quotients[k2, z2]
+                    for iso in _isos(q2, shape):
+                        yield a1, shape, b, q2, iso
+
+
+def _all_pairs(pool, dim, order, below):
+    """h is kept iff no k of the pool has a larger order that h's divides,
+    h's dim, and below(h, k)."""
+    return [h for h in pool if dim(h) and not any(
+        order(k) > order(h) and order(k) % order(h) == 0 and dim(k) == dim(h) and below(h, k)
+        for k in pool)]
+
+
+def _rebuilt_enum(ctx, m, j):
+    """The frequency-m orbit types of irrep j by the all-pairs rule: Gamma'
+    classes at m = 0, and else every Goursat candidate rebuilt."""
+    if m == 0:
+        classes = ctx.gamma.subgroup_classes()
+        return [ctx.intern_o2(c) for c in _all_pairs(
+            range(len(classes)), lambda c: _class_fix_dim(ctx, c, j),
+            lambda c: classes[c].order,
+            lambda c, u: _gamma_mask_leq_class(ctx.gamma, classes[c].representative.mask, u))]
     pool, seen = {}, set()
-    for data in _candidate_subgroups(ctx, ctx.exponent):
+    for data in _every_candidate(ctx, m):
         h = _build_candidate(ctx, *data)
-        if not _char_fix_dim(ctx, h, j):
+        if not _char_fix_dim(ctx, h, j, m):
             continue
         h = h.std_position()
         if h not in seen:
             seen.add(h)
             t = ctx.intern(h)
             pool.setdefault(t.key, t)
-    dims = {key: fixed_dim_irrep(ctx, t, 1, j) for key, t in pool.items()}
-    return sorted(_isotropy_classes(pool.values(), lambda t: dims[t.key], lambda t: t.order,
-                                    lambda t, u: leq(ctx, t, u)),
+    dims = {key: fixed_dim_irrep(ctx, t, m, j) for key, t in pool.items()}
+    return sorted(_all_pairs(list(pool.values()), lambda t: dims[t.key], lambda t: t.order,
+                             lambda t, u: leq(ctx, t, u)),
                   key=lambda t: (t.order, t.symbol))
 
 
@@ -269,27 +334,50 @@ def _rebuilt_enum(ctx, j):
 def test_pool_filter_matches_built_candidates(which):
     """The dims the pool reads off each candidate's Goursat data equal the
     fixed dimensions of the built candidate, by _fix_dims and by the test's
-    character sum, and the pool is the build-then-filter list entry for
-    entry."""
+    character sum, for every kernel shape; a shape whose rotations Z_b have
+    b not dividing m fixes nothing, _candidate_subgroups yields the others
+    in order, and the pool is the build-then-filter list entry for entry."""
     ctx = (bundled_model() if which == "six" else load_model(TRIANGLE)).ctx
     js = ctx.active_js()
     for m in (1, 2):
-        built, seen, candidates = [], set(), 0
-        for data in _candidate_subgroups(ctx, m * ctx.exponent):
+        built, seen, kept, candidates = [], set(), [], 0
+        for data in _every_candidate(ctx, m):
             candidates += 1
             h = _build_candidate(ctx, *data)
             dims = _fix_dims(ctx, h, m, js)
             assert _candidate_dims(m, *data) == dims, data[:3]
             assert dims == {j: _char_fix_dim(ctx, h, j, m) for j in js}, data[:3]
+            if m % data[2]:
+                assert not any(dims.values()), data[:3]
+                continue
+            kept.append(data)
             h = h.std_position()
             if any(dims.values()) and h not in seen:
                 seen.add(h)
                 built.append([h, dims])
+
+        def key(data):
+            a1, shape, b, q2, iso = data
+            return a1, shape, b, q2.cosets, iso
+
+        assert [key(d) for d in _candidate_subgroups(ctx, m)] == [key(d) for d in kept]
         pool = _goursat_pool(ctx, m)
         assert [(h.level, h.elems, dims) for h, dims in pool] == [
             (h.level, h.elems, dims) for h, dims in built]
-        # the filter drops most candidates
-        assert 0 < 2 * len(pool) < candidates
+        # the prune skips most Goursat data, and the filter some of the rest
+        assert 0 < len(pool) < len(kept) < candidates / 2
+
+
+@pytest.mark.parametrize("which", ["six", "triangle"])
+def test_isotropy_sweep_matches_all_pairs(which):
+    """orbit_types, whose sweep tests each candidate against the kept ones
+    only, keeps what the all-pairs rule keeps at m = 0, 1 and 2."""
+    ctx = (bundled_model() if which == "six" else load_model(TRIANGLE)).ctx
+    for m in (0, 1, 2):
+        for j in ctx.active_js():
+            got = sorted(t.key for t in orbit_types(ctx, m, j))
+            assert got == sorted(t.key for t in _rebuilt_enum(ctx, m, j)), (m, j)
+            assert got
 
 
 def test_pooled_enumeration_matches_rebuild(ctx):
@@ -297,7 +385,7 @@ def test_pooled_enumeration_matches_rebuild(ctx):
     rebuilt = AmbientContext(ctx.gamma, ctx.irreps, ctx.class_names)
     for j in ctx.active_js():
         got = [(t.key, t.symbol) for t in orbit_types(pooled, 1, j)]
-        want = [(t.key, t.symbol) for t in _rebuilt_enum(rebuilt, j)]
+        want = [(t.key, t.symbol) for t in _rebuilt_enum(rebuilt, 1, j)]
         assert got == want, j
     # the same types, interned in the same order, so every ~N suffix agrees
     assert [t.symbol for t in pooled._types] == [t.symbol for t in rebuilt._types]
@@ -315,10 +403,11 @@ def test_unknown_irrep_is_a_key_error(ctx, m):
 
 def test_cold_report_work_counts(monkeypatch):
     """One Goursat pool per context, filtered on the candidates' Goursat data,
-    and one normality test per subgroup pair: a cold report builds only the
-    408 of its 2,050 candidates with a nonzero fixed space (one pool per irrep
-    built 6,150) and conjugates far fewer Gamma' masks than one pool per irrep
-    did (39,228 conjugations)."""
+    and one normality test per subgroup pair: a cold report considers 503 of
+    its 2,050 Goursat data (those whose kernel rotations Z_b have b | 1) and
+    builds only the 408 with a nonzero fixed space (one pool per irrep built
+    6,150), and conjugates far fewer Gamma' masks than one pool per irrep did
+    (39,228 conjugations)."""
     model = bundled_model()
     counts = {"build": 0, "conjugate_mask": 0}
 
