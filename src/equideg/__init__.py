@@ -31,14 +31,12 @@ from .groups import (
     FiniteGroup,
     OrthogonalAction,
     Permutation,
-    Subgroup,
     SubgroupClass,
     cyclic_group,
     direct_product,
     group_from_generators,
     n_count,
     symmetric_group,
-    weyl_order,
 )
 from .model_io import (
     Model,

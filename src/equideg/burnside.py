@@ -1,13 +1,15 @@
 """Burnside ring arithmetic over the orbit types of O(2) x Gamma'.
 
 Elements are sparse integer combinations of orbit types.  Every element the
-package builds (a generator product here, a basic degree in degrees, a
-product in the Burnside ring of the finite factor) comes from solve_marks,
-the triangular solve against the table of marks phi_L(U) = n(L, U) |W(U)|
-over the subconjugation order, and BurnsideElement.mark reads an element's
-mark phi_L back off the same table; containment counts and intersections are
-delegated to the orbit-type layer.  Generator products are memoized per
-unordered pair, and each intersection part once per representative.
+package builds (a generator product here, a basic degree in degrees) comes
+from solve_ambient_marks, the triangular solve against the table of marks
+phi_L(U) = n(L, U) |W(U)| over the subconjugation order, and
+BurnsideElement.mark reads an element's mark phi_L back off the same table;
+containment counts and intersections are delegated to the orbit-type layer.
+A(Gamma') is the subring of the full-O(2) types O(2) x K, whose marks are
+Gamma''s, so products there take the same path as the others.  Generator
+products are memoized per unordered pair, and each intersection part once per
+representative.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .errors import NonIntegralCoefficient
-from .groups import memoized, n_count
+from .groups import memoized
 from .orbit_types import (
     AmbientContext,
     OrbitType,
@@ -142,36 +144,14 @@ def generator_product(ctx: AmbientContext, a: OrbitType, b: OrbitType) -> dict[O
         return {b: 1}
     if b is ctx.unit:
         return {a: 1}
-    if a.kind == "o2" and b.kind == "o2":
-        return _product_o2_o2(ctx, a, b)
     if a.kind == "o2":
-        return _product_mixed(ctx, b, a)
+        a, b = b, a
     if b.kind == "o2":
-        return _product_mixed(ctx, a, b)
+        return _resolve_recurrence(ctx, a, b, _o2_parts(ctx, a, b.k2_class))
     return _product_finite(ctx, a, b)
 
 
 # -- the table-of-marks solve ----------------------------------------------------------
-
-def solve_marks(cands: Iterable, lead: Callable, mark: Callable, weyl: Callable,
-                what: str) -> dict:
-    """Coefficients c_U of the element whose marks are lead(L).
-
-    cands are the classes that can occur, in processing order (larger first);
-    mark(L, U) is the mark phi_L(U) of a class U already solved and weyl(L)
-    is phi_L(L) = |W(L)|.  Each coefficient solves
-    lead(L) = sum_U c_U phi_L(U) + c_L |W(L)| and must be an integer.
-    """
-    coeffs: dict = {}
-    for L in cands:
-        num = lead(L) - sum(c * mark(L, U) for U, c in coeffs.items())
-        w = weyl(L)
-        if num % w:
-            raise NonIntegralCoefficient(f"{what}: coefficient of {L} = {num}/{w}")
-        if num:
-            coeffs[L] = num // w
-    return coeffs
-
 
 def _ambient_mark(ctx: AmbientContext, L: OrbitType, U: OrbitType) -> int:
     """phi_L(U) = n(L, U) |W(U)| in the ambient group."""
@@ -180,11 +160,23 @@ def _ambient_mark(ctx: AmbientContext, L: OrbitType, U: OrbitType) -> int:
 
 def solve_ambient_marks(ctx: AmbientContext, cands: Iterable[OrbitType], lead: Callable,
                         what: str) -> dict[OrbitType, int]:
-    """solve_marks over orbit types of O(2) x Gamma'; a correction term is
-    only evaluated for classes above L, where n(L, U) is defined."""
-    return solve_marks(cands, lead,
-                       lambda L, U: _ambient_mark(ctx, L, U) if leq(ctx, L, U) else 0,
-                       lambda L: ambient_weyl_order(ctx, L), what)
+    """Coefficients c_U of the element whose marks are lead(L).
+
+    cands are the types that can occur, in processing order (larger first).
+    Each coefficient solves lead(L) = sum_U c_U phi_L(U) + c_L |W(L)| over
+    the types U solved before L, and must be an integer; a correction term is
+    only evaluated for U above L, where n(L, U) is defined.
+    """
+    coeffs: dict[OrbitType, int] = {}
+    for L in cands:
+        num = lead(L) - sum(c * _ambient_mark(ctx, L, U)
+                            for U, c in coeffs.items() if leq(ctx, L, U))
+        w = ambient_weyl_order(ctx, L)
+        if num % w:
+            raise NonIntegralCoefficient(f"{what}: coefficient of {L} = {num}/{w}")
+        if num:
+            coeffs[L] = num // w
+    return coeffs
 
 
 # -- generator products ----------------------------------------------------------------
@@ -214,38 +206,16 @@ def _part_type(ctx: AmbientContext, a: OrbitType, key: int) -> OrbitType:
     return ctx.intern(SubgroupG(ctx.gamma, intersection_elems(a.rep, key), a.rep.level))
 
 
-def _product_mixed(ctx: AmbientContext, fin: OrbitType, o2t: OrbitType) -> dict[OrbitType, int]:
+def _o2_parts(ctx: AmbientContext, a: OrbitType, c2: int):
+    """The types of the intersections of a with O(2) x K, K over the members
+    of the Gamma' class c2, that can have a finite Weyl group: all of them when
+    a is full-O(2) too, else those holding a reflection."""
     gamma = ctx.gamma
-    cls = gamma.subgroup_classes()[o2t.k2_class]
-    cands: dict[int, OrbitType] = {}
-    for mask in cls.members:
-        inter = frozenset(e for e in fin.rep.elems if (mask >> e[2]) & 1)
-        if len(inter) <= 1:
-            continue
-        L = SubgroupG(gamma, inter, fin.rep.level)
-        if not L.has_reflections:
-            continue
-        t = ctx.intern(L)
-        cands[t.key] = t
-    return _resolve_recurrence(ctx, fin, o2t, cands.values())
-
-
-def _product_o2_o2(ctx: AmbientContext, a: OrbitType, b: OrbitType) -> dict[OrbitType, int]:
-    coeffs = gamma_burnside_product(ctx.gamma, a.k2_class, b.k2_class)
-    return {ctx.intern_o2(ci): c for ci, c in coeffs.items() if c}
-
-
-# -- Burnside ring of the finite factor ---------------------------------------------------
-
-def gamma_burnside_product(gamma, c1: int, c2: int) -> dict[int, int]:
-    """(H)(K) in A(Gamma') for subgroup classes c1, c2; keys are class indices."""
     classes = gamma.subgroup_classes()
-    m1 = classes[c1].representative.mask
-    cands = sorted({gamma.subgroup_class_of(m1 & m2) for m2 in classes[c2].members},
-                   key=lambda ci: classes[ci].order, reverse=True)
-
-    def mark(ci: int, cj: int) -> int:
-        return n_count(gamma, classes[ci].representative, classes[cj]) * gamma.class_weyl_order(cj)
-
-    return solve_marks(cands, lambda ci: mark(ci, c1) * mark(ci, c2), mark,
-                       gamma.class_weyl_order, "Gamma'-ring product")
+    for k in classes[c2].members:
+        if a.kind == "o2":
+            yield ctx.intern_o2(gamma.subgroup_class_of(classes[a.k2_class].representative & k))
+            continue
+        part = SubgroupG(gamma, (e for e in a.rep.elems if k >> e[2] & 1), a.rep.level)
+        if part.has_reflections:
+            yield ctx.intern(part)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 computation error (including
-cross-check mismatches and stabilization failures).
+Exit codes: 0 success, 2 configuration error (a bad config or flag value), 3
+computation error (including cross-check mismatches and stabilization
+failures).  Any other exception is a fault of the program and is not caught.
 """
 
 from __future__ import annotations
@@ -83,6 +84,25 @@ def _load(args):
     return load_model(args.config)
 
 
+def _arg(flag: str, lookup, *args):
+    """lookup(*args) on a value given by flag: the KeyError or ValueError with
+    which the API refuses an unknown or out-of-range value is a ConfigError
+    naming the flag."""
+    try:
+        return lookup(*args)
+    except (KeyError, ValueError) as e:
+        raise ConfigError(f"{flag}: {e.args[0] if e.args else e}") from None
+
+
+def _critical_point(model, text: str):
+    """The critical point of model named by --id n,m,j."""
+    try:
+        n, m, j = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--id must be three integers n,m,j, got {text!r}") from None
+    return _arg("--id", model.critical_by_id, (n, m, j))
+
+
 def _emit(args, text: str):
     if args.out:
         with open(args.out, "w") as f:
@@ -98,7 +118,7 @@ def main(argv=None) -> int:
             setattr(args, name, default)
     try:
         return _dispatch(args)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError) as e:
+    except (ConfigError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except ComputationError as e:
@@ -109,7 +129,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "bessel":
-        table = BesselZeroTable(args.m_max, args.n_max)
+        table = _arg("--m-max, --n-max", BesselZeroTable, args.m_max, args.n_max)
         if args.format == "json":
             _emit(args, json.dumps({"m_max": args.m_max, "n_max": args.n_max,
                                     "entries": table.entries}, indent=2) + "\n")
@@ -143,6 +163,9 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "basic-degree":
+        if args.m < 0:
+            raise ConfigError(f"--m must be >= 0, got {args.m}")
+        _arg("--j", model.ctx.irrep, args.j)
         terms = basic_degree(model.ctx, args.m, args.j).sorted_terms()
         if args.format == "json":
             _emit(args, json.dumps({"m": args.m, "j": args.j,
@@ -152,12 +175,11 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "invariant":
-        cid = tuple(int(x) for x in args.id.split(","))
-        cp = model.critical_by_id(cid)
+        cp = _critical_point(model, args.id)
         inv = bif.local_invariant(model.problem, cp, mode=args.mode)
         terms = inv.value.sorted_terms()
         if args.format == "json":
-            _emit(args, json.dumps({"id": list(cid), "mode": inv.mode,
+            _emit(args, json.dumps({"id": list(cp.id), "mode": inv.mode,
                                     "k_fixed": inv.k_fixed,
                                     "terms": [[s, c] for s, c in terms]}, indent=2) + "\n")
         else:
@@ -165,7 +187,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "global":
-        h = parse_symbol(model.ctx, args.orbit_type)
+        h = _arg("--orbit-type", parse_symbol, model.ctx, args.orbit_type)
         payload = verdict_row(bif.global_verdict(model.problem, h))
         if args.format == "json":
             _emit(args, json.dumps(payload, indent=2) + "\n")
@@ -198,9 +220,12 @@ def _dispatch(args) -> int:
         return 3 if bad else 0
 
     if cmd == "kernel-grid":
-        cid = tuple(int(x) for x in args.id.split(","))
-        mode = model_kernel_mode(model, cid, args.orbit_type)
-        rows = mode.grid(args.resolution)
+        cp = _critical_point(model, args.id)
+        if args.orbit_type is not None:
+            _arg("--orbit-type", parse_symbol, model.ctx, args.orbit_type)
+        if args.resolution < 0:
+            raise ConfigError(f"--resolution must be >= 0, got {args.resolution}")
+        rows = model_kernel_mode(model, cp.id, args.orbit_type).grid(args.resolution)
         k = model.action.dimension
         header = "r,theta," + ",".join(f"u{i+1}" for i in range(k))
         body = "\n".join(",".join(repr(v) for v in row) for row in rows)

@@ -1,10 +1,10 @@
 """Basic degrees of the irreducible representations and their products.
 
 The degree of -id on the unit ball of W_m (x) V_j^- is computed by
-burnside.solve_marks over the orbit-type poset at frequency 1 (or 0), with
-marks +-1 from the parity of the fixed dimensions, and transported to higher
-frequencies by the folding homomorphism; the direct computation at frequency
-m is kept as a debug cross-check.  A basic degree is the Burnside element
+burnside.solve_ambient_marks over the orbit-type poset at frequency 1 (or 0),
+with marks +-1 from the parity of the fixed dimensions, and transported to
+higher frequencies by the folding homomorphism; the direct computation at
+frequency m is kept as a debug cross-check.  A basic degree is the Burnside element
 itself.  degree_product, memoized per factor list, is the one product of
 basic degrees.
 """

@@ -1,12 +1,14 @@
 """Finite permutation-group machinery.
 
 Everything here works with a concrete element list; elements are addressed by
-their integer index and subgroups are stored as bitmasks over those indices.
-Group orders here are small (48 for the bundled S4 x Z2, 240 for S5 x Z2), so
-the multiplication table is dense and the subgroup lattice is a search over
-Dimino joins, each a union of right cosets.  What a group derives from its
-elements (element classes, the subgroup lattice, its conjugacy classes and
-their Weyl orders) is a memoized query on the group.
+their integer index and a subgroup is a plain bitmask over those indices, a
+class of subgroups its sorted member masks.  Group orders here are small (48
+for the bundled S4 x Z2, 240 for S5 x Z2), so the multiplication table is
+dense and the subgroup lattice is a search over Dimino joins, each a union of
+right cosets.  What a group derives from its elements (element classes, the
+subgroup lattice, its conjugacy classes and their Weyl orders) is a memoized
+query on the group.  The Burnside ring of Gamma' is not built here: it is the
+subring of the full-O(2) types O(2) x K in burnside, whose marks are Gamma''s.
 """
 
 from __future__ import annotations
@@ -94,14 +96,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(j == i for i, j in enumerate(self.images))
-
-    def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -202,11 +196,7 @@ class FiniteGroup:
     # -- element level -------------------------------------------------------
 
     def element_order(self, i: int) -> int:
-        n, x = 1, i
-        while x != 0:
-            x = self.mul[x][i]
-            n += 1
-        return n
+        return order_in(self.mul, i)
 
     @memoized
     def conjugacy_classes(self) -> list[list[int]]:
@@ -274,12 +264,6 @@ class FiniteGroup:
                 gens, span = gens | 1 << x, self.closure_mask(gens | 1 << x)
         return self.mask_elements(gens)
 
-    def subgroup_from_indices(self, indices: Iterable[int]) -> "Subgroup":
-        mask = 1  # identity
-        for i in indices:
-            mask |= 1 << i
-        return Subgroup(self, self.closure_mask(mask))
-
     def mask_elements(self, mask: int) -> list[int]:
         return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
@@ -332,7 +316,7 @@ class FiniteGroup:
             unseen -= orbit
             classes.append((min(orbit), sorted(orbit)))
         classes.sort(key=lambda it: (bin(it[0]).count("1"), len(it[1]), it[0]))
-        return [SubgroupClass(Subgroup(self, rep), tuple(orbit)) for rep, orbit in classes]
+        return [SubgroupClass(rep, tuple(orbit)) for rep, orbit in classes]
 
     @memoized
     def _subgroup_class_table(self) -> dict[int, int]:
@@ -355,38 +339,20 @@ class FiniteGroup:
 
     @memoized
     def class_weyl_order(self, ci: int) -> int:
-        """|W(H)| of the representative of subgroup class ci."""
-        return weyl_order(self, self.subgroup_classes()[ci].representative)
+        """|W(H)| = |N(H)| / |H| of the representative H of subgroup class ci."""
+        cls = self.subgroup_classes()[ci]
+        n = bin(self.normalizer_mask(cls.representative)).count("1")
+        if n % cls.order:
+            raise NonIntegralWeyl(f"|N(H)| = {n} is not a multiple of |H| = {cls.order}")
+        return n // cls.order
 
     def __repr__(self) -> str:
         return f"FiniteGroup(degree={self.degree}, order={self.order})"
 
 
 @dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup
-    mask: int
-
-    def __post_init__(self):
-        if not (self.mask & 1):
-            raise NotASubgroup("subgroup must contain the identity")
-        if self.parent.closure_mask(self.mask) != self.mask:
-            raise NotASubgroup("member set is not closed")
-
-    @property
-    def order(self) -> int:
-        return bin(self.mask).count("1")
-
-    def members(self) -> list[int]:
-        return self.parent.mask_elements(self.mask)
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order={self.order})"
-
-
-@dataclass(frozen=True)
 class SubgroupClass:
-    representative: Subgroup
+    representative: int  # the least member's mask
     members: tuple[int, ...] = field(compare=False)  # every conjugate's mask, sorted
 
     @property
@@ -395,7 +361,7 @@ class SubgroupClass:
 
     @property
     def order(self) -> int:
-        return self.representative.order
+        return bin(self.representative).count("1")
 
     def __repr__(self) -> str:
         return f"SubgroupClass(order{self.order}, size={self.class_size})"
@@ -437,20 +403,18 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(d1 + d2, elems)
 
 
-def weyl_order(g: FiniteGroup, h: Subgroup) -> int:
-    if h.parent is not g:
-        raise NotASubgroup("subgroup belongs to a different group")
-    n = bin(g.normalizer_mask(h.mask)).count("1")
-    if n % h.order:
-        raise NonIntegralWeyl(f"|N(H)| = {n} is not a multiple of |H| = {h.order}")
-    return n // h.order
+def order_in(mul: Sequence[Sequence[int]], i: int) -> int:
+    """Order of element i under the multiplication table mul, identity 0."""
+    n, x = 1, i
+    while x != 0:
+        x = mul[x][i]
+        n += 1
+    return n
 
 
-def n_count(g: FiniteGroup, h: Subgroup, k_class: SubgroupClass) -> int:
-    """Number of members of k_class that contain h."""
-    if h.parent is not g:
-        raise NotASubgroup("subgroup belongs to a different group")
-    return sum(1 for m in k_class.members if (h.mask & ~m) == 0)
+def n_count(h: int, k_class: SubgroupClass) -> int:
+    """Number of members of k_class that contain the subgroup mask h."""
+    return sum(1 for m in k_class.members if (h & ~m) == 0)
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,7 @@ def s4z2_class_names(gamma_prime: FiniteGroup, gamma_degree: int = 4) -> list[st
     names: list[str] = [""] * len(gamma_prime.subgroup_classes())
     for name, gens in S4Z2_NAMED_GENERATORS:
         idxs = [signed_element(gamma_prime, gamma_degree, c, s) for c, s in gens]
-        sub = gamma_prime.subgroup_from_indices(idxs)
-        ci = gamma_prime.subgroup_class_of(sub.mask)
+        ci = gamma_prime.subgroup_class_of(gamma_prime.closure_mask(sum(1 << i for i in idxs)))
         if names[ci]:
             raise ValueError(f"name collision: {names[ci]} and {name} hit the same class")
         names[ci] = name

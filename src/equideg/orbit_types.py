@@ -49,7 +49,7 @@ from .errors import (
     NonIntegralWeyl,
     StabilizationFailure,
 )
-from .groups import FiniteGroup, Subgroup, memoized, n_count
+from .groups import FiniteGroup, memoized, n_count, order_in
 
 ROT, REF = 0, 1
 
@@ -230,10 +230,7 @@ class AmbientContext:
                  class_names: Optional[Sequence[str]] = None):
         self.gamma = gamma
         self.irreps = dict(irreps)
-        self.exponent = 1
-        for i in range(gamma.order):
-            o = gamma.element_order(i)
-            self.exponent = self.exponent * o // math.gcd(self.exponent, o)
+        self.exponent = math.lcm(*map(gamma.element_order, range(gamma.order)))
         classes = gamma.subgroup_classes()
         if class_names is None:
             class_names = _generated_names(gamma)
@@ -509,7 +506,7 @@ def leq(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> bool:
 def _gamma_mask(ctx: AmbientContext, t: OrbitType) -> int:
     """Gamma'-projection of t's representative, as a bitmask."""
     if t.kind == "o2":
-        return ctx.gamma.subgroup_classes()[t.k2_class].representative.mask
+        return ctx.gamma.subgroup_classes()[t.k2_class].representative
     return t.rep.proj2_mask
 
 
@@ -521,8 +518,7 @@ def _gamma_mask_leq_class(gamma: FiniteGroup, mask: int, c2: int) -> bool:
 def n_amalgam(ctx: AmbientContext, h: OrbitType, k: OrbitType) -> int:
     """n(H, K): number of conjugates of K containing a fixed representative of H."""
     if k.kind == "o2":
-        return n_count(ctx.gamma, Subgroup(ctx.gamma, _gamma_mask(ctx, h)),
-                       ctx.gamma.subgroup_classes()[k.k2_class])
+        return n_count(_gamma_mask(ctx, h), ctx.gamma.subgroup_classes()[k.k2_class])
     if h.kind == "o2":
         return 0
     if not h.rep.has_reflections:
@@ -659,7 +655,7 @@ def _fix_dims(ctx: AmbientContext, h: SubgroupG, m: int, js: Iterable[int]) -> d
 
 def _class_fix_dim(ctx: AmbientContext, c2: int, j: int) -> int:
     """dim (V_j^-)^K for the Gamma' subgroup class c2."""
-    members = ctx.gamma.subgroup_classes()[c2].representative.members()
+    members = ctx.gamma.mask_elements(ctx.gamma.subgroup_classes()[c2].representative)
     return _snap_int(sum(ctx.irrep(j).chars[x] for x in members) / len(members))
 
 
@@ -731,13 +727,6 @@ class _Quotient:
                           for j in ctx.active_js()}
         self.isos: dict[str, list[dict]] = {}  # filled by _candidate_subgroups
 
-    def order_of(self, i: int) -> int:
-        n, x = 1, i
-        while x != 0:
-            x = self.mul_table[x][i]
-            n += 1
-        return n
-
     def power(self, i: int, k: int) -> int:
         x = 0
         for _ in range(k):
@@ -773,7 +762,7 @@ def _candidate_subgroups(ctx: AmbientContext, m: int):
                 continue
             q1_size = (a1 // b) * (2 if shape == "rotkernel" else 1)
             for ci, cls in enumerate(classes):
-                k2_mask = cls.representative.mask
+                k2_mask = cls.representative
                 if cls.order % q1_size != 0:
                     continue
                 if ci not in normal:  # Z is normal when each generator of K2 fixes it
@@ -803,11 +792,11 @@ def _isos(q2: _Quotient, shape: str) -> list[dict]:
         return [{(ROT, 0): 0, (ROT, 1): 1}]
     out, r = [], q2.size // 2
     for R in range(q2.size):
-        if q2.order_of(R) != r:
+        if order_in(q2.mul_table, R) != r:
             continue
         Rinv = q2.power(R, r - 1)
         for S in range(q2.size):
-            if q2.order_of(S) != 2 or q2.mul_table[q2.mul_table[S][R]][S] != Rinv:
+            if order_in(q2.mul_table, S) != 2 or q2.mul_table[q2.mul_table[S][R]][S] != Rinv:
                 continue
             mapping = {}
             for i in range(r):
@@ -850,6 +839,8 @@ def orbit_types(ctx: AmbientContext, m: int, j: int) -> tuple:
     """Conjugacy classes of isotropy groups of nonzero points of W_m (x) V_j^-
     with finite Weyl group (Phi_0): dihedral O(2)-projection at m >= 1, full
     O(2) at m = 0.  Only these occur in the Burnside ring."""
+    if m < 0:
+        raise ValueError(f"frequency m must be >= 0, got {m}")
     if m == 0:
         return tuple(_orbit_types_m0(ctx, j))
     if m == 1:
@@ -889,7 +880,7 @@ def _orbit_types_m0(ctx: AmbientContext, j: int):
     dims = [_class_fix_dim(ctx, c, j) for c in range(len(classes))]
     kept = _isotropy_classes(
         range(len(classes)), dims.__getitem__, lambda c: classes[c].order,
-        lambda c, u: _gamma_mask_leq_class(ctx.gamma, classes[c].representative.mask, u))
+        lambda c, u: _gamma_mask_leq_class(ctx.gamma, classes[c].representative, u))
     return [ctx.intern_o2(c) for c in kept]
 
 

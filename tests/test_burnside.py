@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from equideg.burnside import BurnsideElement, gamma_burnside_product, solve_marks
+from equideg.burnside import BurnsideElement, generator_product, solve_ambient_marks
 from equideg.degrees import basic_degree
 from equideg.errors import NonIntegralCoefficient
 from equideg.groups import cyclic_group, direct_product, symmetric_group
-from equideg.orbit_types import maximal_types, parse_symbol
+from equideg.orbit_types import AmbientContext, maximal_types, parse_symbol
 
 
 def degree_pool(ctx):
@@ -66,16 +66,21 @@ def test_basic_degrees_are_involutive(ctx):
 
 def test_marks_are_parities_and_multiplicative(ctx):
     """phi_L(deg(W_m (x) V_j^-)) = (-1) ** dim Fix_L(W_m (x) V_j^-) at every
-    type L, full-O(2) ones and the unit included, and phi_L(ab) = phi_L(a) phi_L(b)."""
+    type L, full-O(2) ones and the unit included, and phi_L(ab) = phi_L(a) phi_L(b)
+    at every L in the support of a, b and ab, for an m = 0 degree (all of whose
+    types are full-O(2)) times another at m = 0 or 1, and for two at m = 1."""
     from equideg.orbit_types import fixed_dim_irrep
     pool = type_pool(ctx)
     degrees = {(m, j): basic_degree(ctx, m, j) for j in (0, 2, 3) for m in (0, 1)}
     for (m, j), d in degrees.items():
         for L in pool:
             assert d.mark(L) == (-1) ** fixed_dim_irrep(ctx, L, m, j), (m, j, L)
-    a, b = degrees[1, 2], degrees[1, 3]
-    for L in (a * b).terms:
-        assert (a * b).mark(L) == a.mark(L) * b.mark(L), L
+    pairs = [((0, i), key) for i in (0, 2, 3) for key in degrees if key > (0, i)]
+    for p, q in pairs + [((1, 2), (1, 3))]:
+        a, b = degrees[p], degrees[q]
+        ab = a * b
+        for L in {**a.terms, **b.terms, **ab.terms}:
+            assert ab.mark(L) == a.mark(L) * b.mark(L), (p, q, L)
 
 
 def test_ring_axioms_on_random_elements(ctx):
@@ -91,7 +96,6 @@ def test_ring_axioms_on_random_elements(ctx):
 def test_product_order_is_well_founded(ctx):
     # within every computed generator product, nonzero support classes are
     # strictly below both factors (or equal), so processing never revisits
-    from equideg.burnside import generator_product
     from equideg.orbit_types import leq
     pool = [t for t in type_pool(ctx) if t.is_finite][:8]
     for a in pool[:4]:
@@ -144,28 +148,35 @@ def test_scaled_coefficient_read(ctx):
     assert w.coeff(t) == 2
 
 
-@pytest.mark.parametrize("name", ["S3xZ2", "S4"])
+@pytest.mark.parametrize("name", ["S3xZ2", "S4", "S4xZ2"])
 def test_gamma_ring_products_match_marks_on_cosets(name):
+    # A(Gamma') is the subring of the full-O(2) types O(2) x K, where
     # |(G/H x G/K)^L| = |(G/H)^L| |(G/K)^L| = sum_U c_U |(G/U)^L|, with
     # |(G/U)^L| = #{g : g^-1 L g <= U} / |U| counted over the whole group
-    gamma = (direct_product(symmetric_group(3), cyclic_group(2)) if name == "S3xZ2"
-             else symmetric_group(4))
+    gamma = {"S3xZ2": lambda: direct_product(symmetric_group(3), cyclic_group(2)),
+             "S4": lambda: symmetric_group(4),
+             "S4xZ2": lambda: direct_product(symmetric_group(4), cyclic_group(2))}[name]()
+    ctx = AmbientContext(gamma, {})
     reps = [cls.representative for cls in gamma.subgroup_classes()]
 
     def fixed_cosets(L, U):
         inside = sum(1 for g in range(gamma.order)
-                     if gamma.conjugate_mask(L.mask, gamma.inv[g]) & ~U.mask == 0)
-        assert inside % U.order == 0
-        return inside // U.order
+                     if gamma.conjugate_mask(L, gamma.inv[g]) & ~U == 0)
+        assert inside % bin(U).count("1") == 0
+        return inside // bin(U).count("1")
 
-    for c1, h in enumerate(reps):
-        for c2, k in enumerate(reps):
-            prod = gamma_burnside_product(gamma, c1, c2)
-            for L in reps:
-                assert (fixed_cosets(L, h) * fixed_cosets(L, k)
-                        == sum(c * fixed_cosets(L, reps[u]) for u, c in prod.items()))
+    fixed = [[fixed_cosets(L, U) for U in reps] for L in reps]  # [L][U], once per group
+    for c1 in range(len(reps)):
+        for c2 in range(len(reps)):
+            prod = generator_product(ctx, ctx.intern_o2(c1), ctx.intern_o2(c2))
+            assert all(t.kind == "o2" for t in prod)
+            for row in fixed:
+                assert (row[c1] * row[c2]
+                        == sum(c * row[t.k2_class] for t, c in prod.items()))
 
 
-def test_solve_marks_rejects_fractional_coefficient():
+def test_solve_ambient_marks_rejects_fractional_coefficient():
+    # O(2) x {e} in O(2) x S3 has |W| = |S3| = 6, so a mark 3 there leaves 3/6
+    ctx = AmbientContext(symmetric_group(3), {})
     with pytest.raises(NonIntegralCoefficient):
-        solve_marks(["L"], lambda L: 3, lambda L, U: 0, lambda L: 2, "test")
+        solve_ambient_marks(ctx, [ctx.intern_o2(0)], lambda L: 3, "test")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equideg import cli
 from equideg.cli import main
 from equideg.model_io import bundled_config, load_model
 
@@ -232,6 +233,37 @@ def test_generator_images_breaking_relations_are_exit_2(capsys):
     code, _, err = run_cli(capsys, "--config", json.dumps(cfg), "critical-points")
     assert code == 2
     assert err.startswith("config error:") and "relations" in err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("invariant", "--id", "9,9,9"), "--id"),
+    (("invariant", "--id", "1,3"), "--id"),
+    (("kernel-grid", "--id", "1,x,2"), "--id"),
+    (("global", "--orbit-type", "(D7^D7 x^S4 S4p)"), "--orbit-type"),
+    (("kernel-grid", "--id", "1,3,2", "--orbit-type", "bogus"), "--orbit-type"),
+    (("basic-degree", "--m", "1", "--j", "7"), "--j"),
+    (("basic-degree", "--m", "-1", "--j", "0"), "--m"),
+    (("kernel-grid", "--id", "1,3,2", "--resolution", "-1"), "--resolution"),
+    (("bessel", "--m-max", "999"), "--m-max"),
+], ids=["id_unknown", "id_two_numbers", "id_not_integer", "orbit_type_unknown",
+        "grid_orbit_type_unknown", "j_unknown", "m_negative", "resolution_negative",
+        "m_max_too_large"])
+def test_bad_flag_value_is_a_config_error_naming_it(capsys, args, flag):
+    code, _, err = run_cli(capsys, "--config", "bundled:six_membranes", *args)
+    assert code == 2
+    assert err.startswith(f"config error: {flag}")
+
+
+def test_fault_inside_a_command_is_not_a_config_error(capsys, monkeypatch):
+    # a ValueError from inside a computation is a fault of the program, not bad
+    # input: it is not reported as a config error with exit 2
+    def broken(model):
+        raise ValueError("fault")
+
+    monkeypatch.setattr(cli, "run_report", broken)
+    with pytest.raises(ValueError, match="fault"):
+        main(["--config", "bundled:six_membranes", "report"])
+    assert "config error" not in capsys.readouterr().err
 
 
 def _field_paths(cfg, prefix=()):

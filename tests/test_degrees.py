@@ -1,3 +1,5 @@
+import pytest
+
 from equideg.burnside import BurnsideElement
 from equideg.degrees import basic_degree, basic_degree_direct, degree_product, fold_element
 from equideg.orbit_types import fixed_dim_irrep, fold, maximal_types, x0_of
@@ -27,6 +29,12 @@ def test_folding_identity(ctx):
         for s in (2, 3):
             folded = fold_element(ctx, base, s)
             assert folded == basic_degree(ctx, s, j)
+
+
+def test_negative_frequency_is_refused(ctx):
+    # m = -1 would fold the m = 1 types by s = -1 and fail far from its cause
+    with pytest.raises(ValueError, match="frequency m must be >= 0"):
+        basic_degree(ctx, -1, 0)
 
 
 def test_direct_computation_agrees_with_folding(ctx):

@@ -18,13 +18,11 @@ from equideg.groups import (
     FiniteGroup,
     OrthogonalAction,
     Permutation,
-    Subgroup,
     cyclic_group,
     direct_product,
     group_from_generators,
     n_count,
     symmetric_group,
-    weyl_order,
 )
 from equideg.model_io import bundled_model
 
@@ -49,6 +47,10 @@ def six_membrane_action(g):
     gens = [Permutation.parse(4, "(1 2 3 4)"), Permutation.parse(4, "(2 3 4)")]
     images = [[1, 2, 3, 0, 4, 5], [4, 0, 5, 2, 1, 3]]
     return OrthogonalAction.from_permutation_images(g, gens, images, 6)
+
+
+def weyl(g, mask):
+    return g.class_weyl_order(g.subgroup_class_of(mask))
 
 
 @pytest.fixture(scope="module")
@@ -156,13 +158,10 @@ def test_weyl_order_examples(s4):
         par = sum(1 for a in range(4) for b in range(a + 1, 4) if p.images[a] > p.images[b]) % 2
         if par == 0:
             a4_mask |= 1 << i
-    a4 = Subgroup(s4, a4_mask)
-    assert a4.order == 12
-    assert weyl_order(s4, a4) == 2
-    whole = Subgroup(s4, (1 << s4.order) - 1)
-    assert weyl_order(s4, whole) == 1
-    triv = Subgroup(s4, 1)
-    assert weyl_order(s4, triv) == 24
+    assert bin(a4_mask).count("1") == 12
+    assert weyl(s4, a4_mask) == 2
+    assert weyl(s4, (1 << s4.order) - 1) == 1
+    assert weyl(s4, 1) == 24
 
 
 def test_weyl_order_random_groups():
@@ -171,37 +170,35 @@ def test_weyl_order_random_groups():
               direct_product(cyclic_group(2), cyclic_group(4)),
               direct_product(symmetric_group(3), cyclic_group(2))]
     for g in groups:
-        whole = Subgroup(g, (1 << g.order) - 1)
-        assert weyl_order(g, whole) == 1
+        assert weyl(g, (1 << g.order) - 1) == 1
         for _ in range(4):
             x = rng.randrange(g.order)
-            h = g.subgroup_from_indices([x])
-            sub = Subgroup(g, h.mask)
-            n_mask = g.normalizer_mask(sub.mask)
-            assert bin(n_mask).count("1") % sub.order == 0
+            h = g.closure_mask(1 << x)
+            n, order = bin(g.normalizer_mask(h)).count("1"), bin(h).count("1")
+            assert n % order == 0
+            assert weyl(g, h) == n // order  # the class representative's, a class invariant
 
 
 def test_n_count_basics(s4):
     classes = s4.subgroup_classes()
     for c in classes:
         rep = c.representative
-        assert n_count(s4, rep, c) == 1 or rep.order < c.order
+        assert n_count(rep, c) == 1 or bin(rep).count("1") < c.order
         # n(H, H-class) counts conjugates containing the representative; for
         # the representative itself this is 1 unless distinct conjugates coincide
-    triv = Subgroup(s4, 1)
     for c in classes:
-        assert n_count(s4, triv, c) == c.class_size
+        assert n_count(1, c) == c.class_size  # the trivial subgroup
 
 
 def test_n_count_containment(s4):
     # h = <(1 2)(3 4)>, kClass = Sylow-2 (dihedral order 8) class
     dt = s4.index[Permutation.parse(4, "(1 2)(3 4)")]
-    h = s4.subgroup_from_indices([dt])
+    h = s4.closure_mask(1 << dt)
     classes = s4.subgroup_classes()
     d4_class = [c for c in classes if c.order == 8][0]
     # brute-force oracle: (1 2)(3 4) lies in the normal V4, hence in every Sylow-2
-    expect = sum(1 for m in d4_class.members if (h.mask & ~m) == 0)
-    assert n_count(s4, h, d4_class) == expect
+    expect = sum(1 for m in d4_class.members if (h & ~m) == 0)
+    assert n_count(h, d4_class) == expect
     assert expect == 3
 
 
@@ -210,8 +207,8 @@ def test_n_count_lagrange_s4xz2(s4xz2):
     reps = [c.representative for c in classes]
     for h in reps:
         for c in classes:
-            if c.order % h.order != 0:
-                assert n_count(s4xz2, h, c) == 0
+            if c.order % bin(h).count("1") != 0:
+                assert n_count(h, c) == 0
 
 
 def isotypic_decompose(action: OrthogonalAction, table: CharacterTable) -> list[tuple[str, int]]:
@@ -233,11 +230,10 @@ def isotypic_decompose(action: OrthogonalAction, table: CharacterTable) -> list[
     return out
 
 
-def fixed_dim(action: OrthogonalAction, h: Subgroup) -> int:
-    """dim V^h by averaging the character over h."""
-    if h.parent is not action.group:
-        raise NotASubgroup("subgroup belongs to a different group")
-    val = sum(action.character(x) for x in h.members()) / h.order
+def fixed_dim(action: OrthogonalAction, h: int) -> int:
+    """dim V^h by averaging the character over the subgroup mask h."""
+    members = action.group.mask_elements(h)
+    val = sum(action.character(x) for x in members) / len(members)
     snapped = round(val)
     if abs(val - snapped) > 1e-9:
         raise NonIntegralTrace(f"averaged trace {val} is not an integer")
@@ -285,10 +281,8 @@ def test_isotypic_decompose_inconsistent_rejected(s4):
 
 def test_fixed_dim(s4):
     action = six_membrane_action(s4)
-    triv = Subgroup(s4, 1)
-    assert fixed_dim(action, triv) == 6
-    whole = Subgroup(s4, (1 << s4.order) - 1)
-    assert fixed_dim(action, whole) == 1  # constant vectors
+    assert fixed_dim(action, 1) == 6
+    assert fixed_dim(action, (1 << s4.order) - 1) == 1  # constant vectors
 
 
 def test_fixed_dim_antipodal(s4, s4xz2):
@@ -303,7 +297,7 @@ def test_fixed_dim_antipodal(s4, s4xz2):
     # any subgroup containing the pure antipodal element fixes only 0
     anti = [i for i, p in enumerate(s4xz2.elements)
             if p.images[:4] == (0, 1, 2, 3) and p.images[4] == 5][0]
-    h = s4xz2.subgroup_from_indices([anti])
+    h = s4xz2.closure_mask(1 << anti)
     assert fixed_dim(action, h) == 0
     # monotone under containment on random chains
     rng = random.Random(11)
@@ -312,8 +306,8 @@ def test_fixed_dim_antipodal(s4, s4xz2):
         m1 = rng.choice(subs)
         m2 = rng.choice(subs)
         if (m1 & ~m2) == 0:  # m1 <= m2
-            d1 = fixed_dim(action, Subgroup(s4xz2, m1))
-            d2 = fixed_dim(action, Subgroup(s4xz2, m2))
+            d1 = fixed_dim(action, m1)
+            d2 = fixed_dim(action, m2)
             assert d1 >= d2
 
 
@@ -322,10 +316,12 @@ def test_character_table_orthogonality(s4):
 
 
 def test_not_a_subgroup_errors(s4):
-    z2 = cyclic_group(2)
-    h = Subgroup(z2, 0b11)
-    with pytest.raises(NotASubgroup):
-        weyl_order(s4, h)
+    # a mask that is not a subgroup has no class: a transposition without the
+    # identity, and two transpositions without their products
+    t12, t23 = (s4.index[Permutation.parse(4, c)] for c in ("(1 2)", "(2 3)"))
+    for mask in (1 << t12, 1 | 1 << t12 | 1 << t23):
+        with pytest.raises(NotASubgroup):
+            s4.subgroup_class_of(mask)
 
 
 def test_closure_cap(s4):
@@ -342,18 +338,17 @@ def test_weyl_of_whole_group_for_ten_groups():
                direct_product(symmetric_group(3), cyclic_group(2))]
     assert len(groups) == 10
     for g in groups:
-        whole = Subgroup(g, (1 << g.order) - 1)
-        assert weyl_order(g, whole) == 1
+        assert weyl(g, (1 << g.order) - 1) == 1
 
 
 def test_weyl_order_rejects_non_multiple_normalizer(monkeypatch):
     # a normalizer whose size is not a multiple of |H| is an error, also under -O
     g = symmetric_group(3)
-    h = Subgroup(g, 0b11)  # the identity and a transposition
-    assert h.order == 2
+    ci = g.subgroup_class_of(0b11)  # the identity and a transposition
+    assert g.subgroup_classes()[ci].order == 2
     monkeypatch.setattr(g, "normalizer_mask", lambda mask: 0b111)
     with pytest.raises(NonIntegralWeyl):
-        weyl_order(g, h)
+        g.class_weyl_order(ci)
 
 
 def _old_closure_mask(g, mask):
@@ -428,8 +423,9 @@ def test_closure_mask_matches_two_sided_closure(indices):
 
 def test_lattice_closure_count_per_load(monkeypatch):
     # a work count, not a timing: the lattice itself makes no closure_mask call
-    # (its joins are counted below); a bundled load closes 66 element sets in
-    # Subgroup.__post_init__ and 33 in subgroup_from_indices
+    # (its joins are counted below); a bundled load closes the 33 generator sets
+    # of s4z2_class_names, and the 66 closures Subgroup.__post_init__ made to
+    # check its masks went with that wrapper, a subgroup now being its mask
     calls = []
     closure = FiniteGroup.closure_mask
 
@@ -439,14 +435,13 @@ def test_lattice_closure_count_per_load(monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "closure_mask", counted)
     bundled_model()
-    assert len(calls) == 99
-    assert {name: calls.count(name) for name in set(calls)} == {
-        "__post_init__": 66, "subgroup_from_indices": 33}
+    assert len(calls) == 33
+    assert set(calls) == {"s4z2_class_names"}
 
 
 def test_lattice_join_count_per_load(monkeypatch):
     # a work count, not a timing: per bundled load, 976 lattice joins on
-    # S4 x Z2 (one per pair of right cosets tried) and 99 element-set closures
+    # S4 x Z2 (one per pair of right cosets tried) and 33 element-set closures
     calls = []
     join = FiniteGroup.join
 
@@ -456,7 +451,7 @@ def test_lattice_join_count_per_load(monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "join", counted)
     bundled_model()
-    assert len(calls) == 1075
+    assert len(calls) == 1009
 
 
 @pytest.mark.parametrize("name", ["C12", "D6", "A4", "S4xZ2", "S5xZ2"])

@@ -292,7 +292,7 @@ def test_orbit_types_m0_are_their_own_stabilizers(ctx):
         mats = np.array(ctx.irrep(j).mats)
         keys = {t.k2_class for t in orbit_types(ctx, 0, j)}
         for ci, cls in enumerate(classes):
-            members = cls.representative.members()
+            members = ctx.gamma.mask_elements(cls.representative)
             vals, vecs = np.linalg.eigh(mats[members].mean(axis=0))
             W = vecs[:, vals > 0.5]
             if not W.shape[1]:

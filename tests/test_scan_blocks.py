@@ -282,7 +282,7 @@ def _every_candidate(ctx, m):
         for shape, b in shapes:
             q1_size = (a1 // b) * (2 if shape == "rotkernel" else 1)
             for cls in gamma.subgroup_classes():
-                k2 = cls.representative.mask
+                k2 = cls.representative
                 if cls.order % q1_size:
                     continue
                 gens = gamma.generating_set(k2)
@@ -313,7 +313,7 @@ def _rebuilt_enum(ctx, m, j):
         return [ctx.intern_o2(c) for c in _all_pairs(
             range(len(classes)), lambda c: _class_fix_dim(ctx, c, j),
             lambda c: classes[c].order,
-            lambda c, u: _gamma_mask_leq_class(ctx.gamma, classes[c].representative.mask, u))]
+            lambda c, u: _gamma_mask_leq_class(ctx.gamma, classes[c].representative, u))]
     pool, seen = {}, set()
     for data in _every_candidate(ctx, m):
         h = _build_candidate(ctx, *data)
