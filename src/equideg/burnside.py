@@ -67,17 +67,13 @@ class BurnsideElement:
     def __neg__(self) -> "BurnsideElement":
         return BurnsideElement(self.ctx, {t: -c for t, c in self.terms.items()})
 
-    def __mul__(self, other) -> "BurnsideElement":
-        if isinstance(other, int):
-            return BurnsideElement(self.ctx, {t: c * other for t, c in self.terms.items()})
+    def __mul__(self, other: "BurnsideElement") -> "BurnsideElement":
         out: dict[OrbitType, int] = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
                 for t, c in generator_product(self.ctx, t1, t2).items():
                     out[t] = out.get(t, 0) + c1 * c2 * c
         return BurnsideElement(self.ctx, out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BurnsideElement) and self.terms == other.terms

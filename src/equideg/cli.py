@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error (a bad config or flag value), 3
-computation error (including cross-check mismatches and stabilization
-failures).  Any other exception is a fault of the program and is not caught.
+Exit codes: 0 success, 2 configuration error (a bad config or flag value, or
+a --config or --out path that cannot be read or written), 3 computation error
+(cross-check mismatches and stabilization failures included).  Any other
+exception is a fault of the program and is not caught.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .model_io import (
     isotypic_rows,
     load_model,
     model_kernel_mode,
+    read_config,
     report_json,
     run_report,
     verdict_row,
@@ -79,9 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     if not args.config:
         raise ConfigError("--config is required for this command")
-    if args.config.startswith("bundled:"):
-        return load_model(bundled_config(args.config.split(":", 1)[1]))
-    return load_model(args.config)
+    name = args.config.removeprefix("bundled:")
+    try:  # a --config value that cannot be read names the flag
+        cfg = bundled_config(name) if name != args.config else read_config(args.config)
+    except (OSError, ConfigError) as e:
+        raise ConfigError(f"--config: {e}") from None
+    return load_model(cfg)
 
 
 def _arg(flag: str, lookup, *args):
@@ -105,8 +110,11 @@ def _critical_point(model, text: str):
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise ConfigError(f"--out: {e}") from None
     else:
         sys.stdout.write(text)
 
@@ -118,7 +126,7 @@ def main(argv=None) -> int:
             setattr(args, name, default)
     try:
         return _dispatch(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except ComputationError as e:

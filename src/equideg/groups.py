@@ -77,9 +77,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         # function composition: (p * q)(i) = p(q(i))
         if other.degree != self.degree:
@@ -130,7 +127,7 @@ class Permutation:
             raise NonPermutationInput(f"cannot parse cycle notation: {text!r}")
         return cls.from_cycles(degree, pts, one_based=True)
 
-    def cycle_string(self, one_based: bool = True) -> str:
+    def cycle_string(self) -> str:
         seen = [False] * self.degree
         out = []
         for i in range(self.degree):
@@ -144,8 +141,7 @@ class Permutation:
                 cyc.append(j)
                 seen[j] = True
                 j = self.images[j]
-            off = 1 if one_based else 0
-            out.append("(" + " ".join(str(p + off) for p in cyc) + ")")
+            out.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
         return "".join(out) if out else "()"
 
     def __eq__(self, other) -> bool:
@@ -196,7 +192,11 @@ class FiniteGroup:
     # -- element level -------------------------------------------------------
 
     def element_order(self, i: int) -> int:
-        return order_in(self.mul, i)
+        n, x = 1, i
+        while x != 0:
+            x = self.mul[x][i]
+            n += 1
+        return n
 
     @memoized
     def conjugacy_classes(self) -> list[list[int]]:
@@ -401,15 +401,6 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     if len(elems) != g1.order * g2.order:
         raise ClosureCapExceeded("direct product element collision")
     return FiniteGroup(d1 + d2, elems)
-
-
-def order_in(mul: Sequence[Sequence[int]], i: int) -> int:
-    """Order of element i under the multiplication table mul, identity 0."""
-    n, x = 1, i
-    while x != 0:
-        x = mul[x][i]
-        n += 1
-    return n
 
 
 def n_count(h: int, k_class: SubgroupClass) -> int:

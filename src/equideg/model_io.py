@@ -111,19 +111,22 @@ class Model:
         raise KeyError(f"no critical point with id {cid}")
 
 
+def read_config(source):
+    """The config of a config path, JSON string, or dict, unchecked."""
+    if isinstance(source, dict):
+        return source
+    text = str(source)
+    try:
+        if not text.lstrip().startswith("{"):
+            text = Path(text).read_text(encoding="utf-8")
+        return json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise SchemaError(f"config is not valid UTF-8 JSON: {e}") from None
+
+
 def load_model(source) -> Model:
     """Assemble a model from a config path, JSON string, or dict."""
-    if isinstance(source, dict):
-        cfg = source
-    else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            text = Path(text).read_text()
-        try:
-            cfg = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"config is not valid JSON: {e}") from None
-    return _assemble(cfg)
+    return _assemble(read_config(source))
 
 
 def _assemble(cfg: dict) -> Model:
@@ -539,7 +542,11 @@ def _write_json(x, nl: str, out: list[str]) -> None:
 
 def bundled_config(name: str) -> dict:
     """Load one of the packaged example configs by bare name."""
-    with resources.files("equideg.data").joinpath(f"{name}.json").open() as f:
+    data = resources.files("equideg.data")
+    if not data.joinpath(f"{name}.json").is_file():
+        known = sorted(p.name[:-5] for p in data.iterdir() if p.name.endswith(".json"))
+        raise FileNotFoundError(f"no bundled config {name!r}; bundled: {', '.join(known)}")
+    with data.joinpath(f"{name}.json").open() as f:
         return json.load(f)
 
 

@@ -58,8 +58,9 @@ def signed_element(gamma_prime: FiniteGroup, gamma_degree: int, cycles: str, sig
     return gamma_prime.index[Permutation(imgs)]
 
 
-def s4z2_class_names(gamma_prime: FiniteGroup, gamma_degree: int = 4) -> list[str]:
-    """Names for every subgroup class of S4 x Z2."""
+def s4z2_class_names(gamma_prime: FiniteGroup) -> list[str]:
+    """Names for every subgroup class of S4 x Z2, which acts on 4 + 2 points."""
+    gamma_degree = gamma_prime.degree - 2
     names: list[str] = [""] * len(gamma_prime.subgroup_classes())
     for name, gens in S4Z2_NAMED_GENERATORS:
         idxs = [signed_element(gamma_prime, gamma_degree, c, s) for c, s in gens]

@@ -20,8 +20,9 @@ conjugate of H inside K; |N(H)| on a grid is the grid's conjugators over
 H's orbit.  Exact Fractions appear only at the API boundary (the
 conjugator of SubgroupG.conjugate, the angles elements_of returns).  The
 enumeration covers only the classes with finite Weyl group (Phi_0), the
-ones the Burnside ring holds: its Goursat candidates have
-dihedral O(2)-projection.  It skips the kernel shapes whose rotations move
+ones the Burnside ring holds.  Its Goursat candidates are the graphs of
+the surjections rho -> R, kappa -> S of a dihedral D_{a1} onto the
+quotients K2 / Z2 of Gamma'.  It skips those whose kernel rotations move
 every vector, reads each other candidate's fixed-space dimension in every
 irrep off its Goursat data, builds only those with a nonzero one, once per
 context, and decides isotropy exactly, from those integer dimensions and
@@ -49,7 +50,7 @@ from .errors import (
     NonIntegralWeyl,
     StabilizationFailure,
 )
-from .groups import FiniteGroup, memoized, n_count, order_in
+from .groups import FiniteGroup, memoized, n_count
 
 ROT, REF = 0, 1
 
@@ -695,140 +696,106 @@ def fixed_space(ctx: AmbientContext, m: int, j: int, h: SubgroupG) -> np.ndarray
 
 class _Quotient:
     """Coset structure K2 / Z2 inside Gamma', with the cosets' character sums
-    per active irrep and the isomorphism lists onto it per kernel shape."""
+    per active irrep and the surjections onto it per order of R.  Coset 0 is
+    Z2, since mask_elements lists K2's members from the identity up."""
 
     def __init__(self, ctx: AmbientContext, k2_mask: int, z2_mask: int):
-        self.gamma = gamma = ctx.gamma
-        members = gamma.mask_elements(k2_mask)
+        gamma = ctx.gamma
         z2 = gamma.mask_elements(z2_mask)
         coset_of = {}
         cosets = []
-        for x in members:
-            if x in coset_of:
-                continue
-            cid = len(cosets)
-            elems = sorted(gamma.mul[x][z] for z in z2)
-            for y in elems:
-                coset_of[y] = cid
-            cosets.append(elems)
-        # identity coset first
-        id_c = coset_of[0]
-        if id_c != 0:
-            order = [id_c] + [i for i in range(len(cosets)) if i != id_c]
-            remap = {old: new for new, old in enumerate(order)}
-            cosets = [cosets[old] for old in order]
-            coset_of = {x: remap[c] for x, c in coset_of.items()}
+        for x in gamma.mask_elements(k2_mask):
+            if x not in coset_of:
+                cosets.append(sorted(gamma.mul[x][z] for z in z2))
+                coset_of.update(dict.fromkeys(cosets[-1], len(cosets) - 1))
         self.cosets = cosets
-        self.coset_of = coset_of
         self.size = len(cosets)
         self.mul_table = [[coset_of[gamma.mul[cosets[i][0]][cosets[j][0]]]
                            for j in range(self.size)] for i in range(self.size)]
         self.char_sums = {j: [sum(ctx.irrep(j).chars[g] for g in c) for c in cosets]
                           for j in ctx.active_js()}
-        self.isos: dict[str, list[dict]] = {}  # filled by _candidate_subgroups
-
-    def power(self, i: int, k: int) -> int:
-        x = 0
-        for _ in range(k):
-            x = self.mul_table[x][i]
-        return x
+        self.surjections: dict[int, list] = {}  # filled by _candidate_subgroups
 
 
 def _candidate_subgroups(ctx: AmbientContext, m: int):
-    """Goursat data (a1, shape, b, q2, iso) of the candidate isotropy groups
-    with dihedral O(2)-projection D_{a1}, a1 | m * exponent, in W_m (x)
-    V_j^-; _build_candidate builds one.
-
-    b is the order of the pure rotations Z_b in the shape's O(2)-kernel: the
-    rotation kernel's own b, a1 / 2 for the half-dihedral one and a1 for the
-    full one.  Such a candidate holds (2 pi / b, e), which turns W_m (x)
-    V_j^- by 2 pi m / b and fixes no nonzero vector unless b | m, so the
-    other shapes are skipped before their quotients are built."""
+    """Goursat data (a1, q2, rots, refs) of the candidate isotropy groups with
+    dihedral O(2)-projection D_{a1}, a1 | m * exponent, in W_m (x) V_j^-:
+    the graphs of the surjections rho -> R, kappa -> S of D_{a1} onto
+    q2 = K2 / Z2 (_surjections), with rots[k] = R^k and refs[k] = R^k S for k
+    below R's order r.  The O(2)-kernel holds the rotations Z_b, b = a1 / r,
+    and (2 pi / b, e) turns W_m (x) V_j^- by 2 pi m / b, so a candidate with
+    b not dividing m fixes nothing and is skipped before its quotient is
+    built.  The order is by a1, then S outside <R> (|q2| = 2r) before S = 1
+    (|q2| = r <= 2), then falling r, then class, normal subgroup, R and S."""
     gamma = ctx.gamma
     classes = gamma.subgroup_classes()
     all_subs = gamma.all_subgroups()
     normal: dict[int, list[int]] = {}  # class -> normal subgroups of its representative
     quotients: dict[tuple[int, int], _Quotient] = {}
     for a1 in _divisors(m * ctx.exponent):
-        # kernel shapes inside D_{a1}
-        shapes = []
-        for b in _divisors(a1):
-            shapes.append(("rotkernel", b))  # Z_b, quotient D_{a1/b}
-        if a1 % 2 == 0:
-            shapes.append(("halfdihedral", a1 // 2))  # D_{a1/2}, quotient Z_2
-        shapes.append(("fulldihedral", a1))  # quotient trivial
-        for shape, b in shapes:
-            if m % b:
+        rs = _divisors(a1)[::-1]
+        for r, q2_size in [(r, 2 * r) for r in rs] + [(r, r) for r in rs if r <= 2]:
+            if m % (a1 // r):
                 continue
-            q1_size = (a1 // b) * (2 if shape == "rotkernel" else 1)
             for ci, cls in enumerate(classes):
                 k2_mask = cls.representative
-                if cls.order % q1_size != 0:
+                if cls.order % q2_size != 0:
                     continue
                 if ci not in normal:  # Z is normal when each generator of K2 fixes it
                     gens = gamma.generating_set(k2_mask)
                     normal[ci] = [z for z in all_subs if (z & ~k2_mask) == 0 and all(
                         gamma.conjugate_mask(z, x) == z for x in gens)]
                 for z2_mask in normal[ci]:
-                    if bin(z2_mask).count("1") != cls.order // q1_size:
+                    if bin(z2_mask).count("1") != cls.order // q2_size:
                         continue
                     q2 = quotients.get((k2_mask, z2_mask))
                     if q2 is None:
                         q2 = quotients[k2_mask, z2_mask] = _Quotient(ctx, k2_mask, z2_mask)
-                    if shape not in q2.isos:
-                        q2.isos[shape] = _isos(q2, shape)
-                    for iso in q2.isos[shape]:
-                        yield a1, shape, b, q2, iso
+                    if r not in q2.surjections:
+                        q2.surjections[r] = _surjections(q2, r)
+                    for rots, refs in q2.surjections[r]:
+                        yield a1, q2, rots, refs
 
 
-def _isos(q2: _Quotient, shape: str) -> list[dict]:
-    """Isomorphisms onto q2 from the quotient of D_{a1} by a kernel of the
-    given shape, which has the order of q2, as maps (kind, index) -> coset id.
-    A rotation kernel leaves D_r, r = |q2| / 2, whose element rho^i sigma^j
-    is (j, i)."""
-    if shape == "fulldihedral":
-        return [{(ROT, 0): 0}]
-    if shape == "halfdihedral":
-        return [{(ROT, 0): 0, (ROT, 1): 1}]
-    out, r = [], q2.size // 2
+def _surjections(q2: _Quotient, r: int) -> list[tuple]:
+    """The surjections rho -> R, kappa -> S of a dihedral group onto q2 with
+    R of order r, as (rots, refs) = ([R^k], [R^k S]) for k < r: S^2 = 1,
+    S R S = R^-1, the cosets R^k S^e cover q2, and S lies outside <R> or
+    is 1.  S = R (r = |q2| = 2) is left out: a rotation by pi / a1
+    conjugates its graph to the one of S = 1."""
+    mul = q2.mul_table
+    out = []
     for R in range(q2.size):
-        if order_in(q2.mul_table, R) != r:
+        rots, x = [0], R
+        while x and len(rots) < r:  # R^k until R^k = 1 or k = r
+            rots.append(x)
+            x = mul[x][R]
+        if x or len(rots) < r:
             continue
-        Rinv = q2.power(R, r - 1)
         for S in range(q2.size):
-            if order_in(q2.mul_table, S) != 2 or q2.mul_table[q2.mul_table[S][R]][S] != Rinv:
+            if mul[S][S] or mul[mul[S][R]][S] != rots[-1] or (S and S in rots):
                 continue
-            mapping = {}
-            for i in range(r):
-                Ri = q2.power(R, i)
-                mapping[(0, i)] = Ri
-                mapping[(1, i)] = q2.mul_table[Ri][S]
-            if len(set(mapping.values())) == q2.size:
-                out.append(mapping)
+            refs = [mul[x][S] for x in rots]
+            if len(set(rots + refs)) == q2.size:
+                out.append((rots, refs))
     return out
 
 
-def _coset(shape: str, a1: int, b: int, iso: dict, kind: int, k: int) -> int:
-    """The coset of q2 that a Goursat candidate pairs with the O(2) element
-    (kind, k / a1): iso's image of its class modulo the kernel, which is
-    k mod a1 / b, and the kind only when the quotient is dihedral."""
-    return iso[(kind if shape == "rotkernel" else ROT, k % (a1 // b))]
-
-
-def _build_candidate(ctx: AmbientContext, a1: int, shape: str, b: int,
-                     q2: _Quotient, iso: dict) -> SubgroupG:
+def _build_candidate(ctx: AmbientContext, a1: int, q2: _Quotient, rots: list,
+                     refs: list) -> SubgroupG:
+    """The candidate pairing (kind, k / a1) with coset (refs if kind else rots)[k % r]."""
+    r = len(rots)
     return SubgroupG(ctx.gamma, ((kind, k, g) for kind in (ROT, REF) for k in range(a1)
-                                 for g in q2.cosets[_coset(shape, a1, b, iso, kind, k)]), a1)
+                                 for g in q2.cosets[(refs if kind else rots)[k % r]]), a1)
 
 
-def _candidate_dims(m: int, a1: int, shape: str, b: int, q2: _Quotient,
-                    iso: dict) -> dict[int, int]:
+def _candidate_dims(m: int, a1: int, q2: _Quotient, rots: list, refs: list) -> dict[int, int]:
     """_fix_dims in every active irrep of the candidate _build_candidate would
     build, without building it: the weight 2 cos(2 pi m k / a1) of each
     rotation summed per coset of q2, against the cosets' character sums."""
     weight = [0.0] * q2.size
     for k in range(a1):
-        weight[_coset(shape, a1, b, iso, ROT, k)] += 2.0 * math.cos(TWO_PI * m * (k / a1))
+        weight[rots[k % len(rots)]] += 2.0 * math.cos(TWO_PI * m * (k / a1))
     order = 2 * a1 * len(q2.cosets[0])
     return {j: _snap_int(sum(w * c for w, c in zip(weight, sums)) / order)
             for j, sums in q2.char_sums.items()}

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equideg import cli
+from equideg.burnside import format_terms
 from equideg.cli import main
 from equideg.model_io import bundled_config, load_model
 
@@ -62,6 +63,24 @@ def test_basic_degree_command(capsys):
     assert out.strip() == "(G) - (D2^D1 x^S4 S4p)"
 
 
+def test_basic_degree_command_json(capsys):
+    code, out, _ = run_cli(capsys, "--config", "bundled:six_membranes", "--format", "json",
+                           "basic-degree", "--m", "1", "--j", "0")
+    assert code == 0
+    assert json.loads(out) == {"m": 1, "j": 0,
+                               "terms": [["(G)", 1], ["(D2^D1 x^S4 S4p)", -1]]}
+
+
+def test_invariant_command_text_is_the_json_terms(capsys):
+    base = ("--config", "bundled:six_membranes")
+    code, out, _ = run_cli(capsys, *base, "invariant", "--id", "1,3,2")
+    assert code == 0
+    terms = json.loads(run_cli(capsys, *base, "--format", "json", "invariant",
+                               "--id", "1,3,2")[1])["terms"]
+    assert out == format_terms(terms) + "\n"
+    assert "+ 2(D18^Z3 x^V4 S4p)" in out
+
+
 def test_invariant_command(capsys):
     code, out, _ = run_cli(capsys, "--config", "bundled:six_membranes",
                            "--format", "json", "invariant", "--id", "1,3,2")
@@ -94,6 +113,30 @@ def test_missing_config_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "critical-points")
     assert code == 2
     assert "config" in err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("--config", "{dir}"), "--config"),
+    (("--config", "{dir}/latin1.json"), "--config"),
+    (("--config", "{dir}/nosuch.json"), "--config"),
+    (("--config", "bundled:nosuch"), "--config"),
+    (("--config", "bundled:six_membranes", "--out", "{dir}"), "--out"),
+], ids=["config_directory", "config_not_utf8", "config_missing", "bundled_unknown",
+        "out_directory"])
+def test_unreadable_path_is_a_config_error_naming_its_flag(capsys, tmp_path, args, flag):
+    (tmp_path / "latin1.json").write_bytes('{"name": "membranes à six"}'.encode("latin-1"))
+    args = [a.format(dir=tmp_path) for a in args]
+    code, _, err = run_cli(capsys, *args, "critical-points")
+    assert code == 2
+    assert err.startswith(f"config error: {flag}: ")
+    assert "Traceback" not in err and "equideg/data" not in err
+
+
+def test_unknown_bundled_name_lists_the_bundled_ones():
+    with pytest.raises(FileNotFoundError) as err:
+        bundled_config("nosuch")
+    assert str(err.value) == ("no bundled config 'nosuch'; bundled: six_membranes, "
+                              "six_membranes_text_variant")
 
 
 def test_bad_config_is_exit_2(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import enum
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from equideg.model_io import (
     report_json,
     run_report,
 )
+from equideg.spectrum import sigmoid
 
 from test_generality import TRIANGLE
 
@@ -126,6 +128,46 @@ def test_malformed_field_is_a_config_error_naming_it(section, key, value):
     cfg[section][key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         load_model(cfg)
+
+
+def test_non_utf8_config_is_a_schema_error(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"name": "membranes \u00e0 six"}'.encode("latin-1"))
+    with pytest.raises(SchemaError, match="not valid UTF-8 JSON: 'utf-8' codec"):
+        load_model(p)
+
+
+def test_breakpoint_zeta_sampled_from_the_sigmoid():
+    """The triangle's sigmoid tabulated on [-30, 30] has the sigmoid's
+    critical points and verdicts, and its fast-path checks all pass."""
+    cfg = copy.deepcopy(TRIANGLE)
+    cfg["linearization"]["zeta"] = {"breakpoints": [[x / 2, sigmoid(x / 2)]
+                                                    for x in range(-60, 61)]}
+    tabulated, exact = load_model(cfg), load_model(TRIANGLE)
+    assert tabulated.problem.curves[0].breakpoints is not None
+    assert [cp.id for cp in tabulated.critical] == [cp.id for cp in exact.critical]
+    assert tabulated.critical
+    rep = run_report(tabulated)
+    assert [e["status"] for e in rep["fast_path_checks"]] == ["ok"] * 4
+    assert ([v["conclusion"] for v in rep["verdicts"]]
+            == [v["conclusion"] for v in run_report(exact)["verdicts"]])
+
+
+def test_subgroup_name_list_names_the_classes():
+    """A group.subgroup_names list is taken as the class names, in class
+    order; the generated names given as a list give the same report."""
+    auto = load_model(TRIANGLE)
+    cfg = copy.deepcopy(TRIANGLE)
+    cfg["group"]["subgroup_names"] = list(auto.ctx.class_names)
+    named = load_model(cfg)
+    assert named.ctx.class_names == auto.ctx.class_names
+    assert report_json(run_report(named)) == report_json(run_report(auto))
+    cfg["group"]["subgroup_names"] = [f"K{i}" for i in range(len(auto.ctx.class_names))]
+    renamed = load_model(cfg)
+    assert renamed.ctx.class_names == cfg["group"]["subgroup_names"]
+    assert renamed.ctx.unit.symbol == "(G)"
+    maximal = [v["orbit_type"] for v in run_report(renamed)["verdicts"]]
+    assert maximal and all(re.fullmatch(r"\(\S+ x\^K\d+ K\d+\)", s) for s in maximal)
 
 
 def test_text_variant_has_empty_critical_set():

@@ -29,7 +29,6 @@ from equideg.orbit_types import (
     _gamma_mask_leq_class,
     _goursat_pool,
     _grid_mask,
-    _isos,
     _may_contain,
     _normalizer_counts,
     _orbit,
@@ -269,9 +268,54 @@ def _char_fix_dim(ctx, h, j, m=1):
     return round(tot / h.order)
 
 
+def _power(q2, i, k):
+    x = 0
+    for _ in range(k):
+        x = q2.mul_table[x][i]
+    return x
+
+
+def _order(q2, i):
+    n, x = 1, i
+    while x != 0:
+        x = q2.mul_table[x][i]
+        n += 1
+    return n
+
+
+def _isos(q2, shape):
+    """Isomorphisms onto q2 from the quotient of D_{a1} by a kernel of the
+    given shape, as maps (kind, index) -> coset id.  A rotation kernel leaves
+    D_r, r = |q2| / 2, whose element rho^i sigma^j is (j, i)."""
+    if shape == "fulldihedral":
+        return [{(ROT, 0): 0}]
+    if shape == "halfdihedral":
+        return [{(ROT, 0): 0, (ROT, 1): 1}]
+    out, r = [], q2.size // 2
+    for R in range(q2.size):
+        if _order(q2, R) != r:
+            continue
+        Rinv = _power(q2, R, r - 1)
+        for S in range(q2.size):
+            if _order(q2, S) != 2 or q2.mul_table[q2.mul_table[S][R]][S] != Rinv:
+                continue
+            mapping = {}
+            for i in range(r):
+                Ri = _power(q2, R, i)
+                mapping[(0, i)] = Ri
+                mapping[(1, i)] = q2.mul_table[Ri][S]
+            if len(set(mapping.values())) == q2.size:
+                out.append(mapping)
+    return out
+
+
 def _every_candidate(ctx, m):
     """The Goursat data of _candidate_subgroups(ctx, m) in its order, with the
-    kernel shapes whose rotations Z_b have b not dividing m kept in place."""
+    kernels whose rotations Z_b have b not dividing m kept in place, by the
+    three kernel shapes of D_{a1}: a rotation kernel Z_b (quotient D_{a1/b}),
+    the half-dihedral D_{a1/2} (quotient Z_2) and D_{a1} itself.  Each
+    isomorphism of the quotient onto q2 becomes the data's rots and refs:
+    the cosets of (ROT, k / a1) and (REF, k / a1) for k < a1 / b."""
     gamma = ctx.gamma
     quotients = {}
     for a1 in _divisors(m * ctx.exponent):
@@ -294,7 +338,8 @@ def _every_candidate(ctx, m):
                         quotients[k2, z2] = _Quotient(ctx, k2, z2)
                     q2 = quotients[k2, z2]
                     for iso in _isos(q2, shape):
-                        yield a1, shape, b, q2, iso
+                        yield a1, q2, *([iso[(kind if shape == "rotkernel" else ROT, k)]
+                                         for k in range(a1 // b)] for kind in (ROT, REF))
 
 
 def _all_pairs(pool, dim, order, below):
@@ -339,26 +384,27 @@ def test_pool_filter_matches_built_candidates(which):
     in order, and the pool is the build-then-filter list entry for entry."""
     ctx = (bundled_model() if which == "six" else load_model(TRIANGLE)).ctx
     js = ctx.active_js()
+
+    def key(data):
+        a1, q2, rots, refs = data
+        return a1, q2.cosets, rots, refs
+
     for m in (1, 2):
         built, seen, kept, candidates = [], set(), [], 0
         for data in _every_candidate(ctx, m):
             candidates += 1
             h = _build_candidate(ctx, *data)
             dims = _fix_dims(ctx, h, m, js)
-            assert _candidate_dims(m, *data) == dims, data[:3]
-            assert dims == {j: _char_fix_dim(ctx, h, j, m) for j in js}, data[:3]
-            if m % data[2]:
-                assert not any(dims.values()), data[:3]
+            assert _candidate_dims(m, *data) == dims, key(data)
+            assert dims == {j: _char_fix_dim(ctx, h, j, m) for j in js}, key(data)
+            if m % (data[0] // len(data[2])):
+                assert not any(dims.values()), key(data)
                 continue
             kept.append(data)
             h = h.std_position()
             if any(dims.values()) and h not in seen:
                 seen.add(h)
                 built.append([h, dims])
-
-        def key(data):
-            a1, shape, b, q2, iso = data
-            return a1, shape, b, q2.cosets, iso
 
         assert [key(d) for d in _candidate_subgroups(ctx, m)] == [key(d) for d in kept]
         pool = _goursat_pool(ctx, m)

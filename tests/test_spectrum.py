@@ -264,6 +264,29 @@ def test_insufficient_horizon_reported(model_curves):
         critical_points(model_curves, small)
 
 
+def test_too_few_zeros_per_row_is_insufficient_horizon(model_curves):
+    # m_max = 12 cuts off the frequencies below sup mu = 54, but one zero per
+    # row leaves row 0's next zeros below the window's top
+    with pytest.raises(InsufficientHorizon, match="n_max=1 too small at m=0") as ei:
+        critical_points(model_curves, BesselZeroTable(12, 1))
+    assert (ei.value.required_m_max, ei.value.required_n_max) == (12, 5)
+
+
+def test_sufficient_for_escalates_n_max(model_curves, model_table):
+    """From one zero per row, sufficient_for adds four per step until every
+    kept row's last zero passes sup mu; the table then gives the critical
+    points of the full one."""
+    table = BesselZeroTable.sufficient_for(54.0, 12, 1)
+    assert table.m_max == 12 and table.n_max > 1 and table.n_max % 4 == 1
+
+    def passes(t):
+        return min(row[-1] for row in t.entries if row[0] <= 54.0) > 54.0
+
+    assert passes(table) and not passes(BesselZeroTable(12, table.n_max - 4))
+    assert ([cp.id for cp in critical_points(model_curves, table)]
+            == [cp.id for cp in critical_points(model_curves, model_table)])
+
+
 def test_index_sets(model_curves, model_table):
     cps = critical_points(model_curves, model_table)
     alpha = cps[0].alpha - 0.5
