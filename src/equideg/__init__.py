@@ -51,7 +51,6 @@ from .orbit_types import (
     AmbientContext,
     Irrep,
     OrbitType,
-    elements_of,
     fixed_dim_irrep,
     fold,
     leq,
@@ -59,9 +58,6 @@ from .orbit_types import (
     n_amalgam,
     orbit_types,
     parse_symbol,
-    pretty_symbol,
-    weyl_order_amalgam,
-    x0_of,
 )
 from .spectrum import (
     BesselZeroTable,
@@ -69,12 +65,9 @@ from .spectrum import (
     EigenvalueCurve,
     KernelMode,
     SpectrumIndexSet,
-    a_priori_radius,
     bessel_j,
     bessel_zero,
-    bessel_zero_sq,
     critical_points,
-    eigenvalue_xi,
     index_sets,
     kernel_mode,
 )

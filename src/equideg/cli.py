@@ -196,6 +196,8 @@ def _dispatch(args) -> int:
 
     if cmd == "global":
         h = _arg("--orbit-type", parse_symbol, model.ctx, args.orbit_type)
+        if all(h.key != t.key for t in model.problem.maximal_pool()):
+            raise ConfigError(f"--orbit-type: {h.symbol} is not a maximal orbit type")
         payload = verdict_row(bif.global_verdict(model.problem, h))
         if args.format == "json":
             _emit(args, json.dumps(payload, indent=2) + "\n")

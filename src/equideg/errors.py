@@ -45,10 +45,6 @@ class NonIntegralWeyl(ComputationError):
 
 # -- orbit types / Burnside ring ---------------------------------------------
 
-class InfiniteSubgroup(ComputationError):
-    pass
-
-
 class InfiniteWeyl(ComputationError):
     pass
 

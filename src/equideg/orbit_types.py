@@ -17,16 +17,14 @@ before every scan.  n(H, K) is the number of conjugates of K containing H,
 counted on the base grid and on the doubled one, which must agree, and
 checked against the conjugators that map H into K, which number |N(H)| per
 conjugate of H inside K; |N(H)| on a grid is the grid's conjugators over
-H's orbit.  Exact Fractions appear only at the API boundary (the
-conjugator of SubgroupG.conjugate, the angles elements_of returns).  The
-enumeration covers only the classes with finite Weyl group (Phi_0), the
-ones the Burnside ring holds.  Its Goursat candidates are the graphs of
-the surjections rho -> R, kappa -> S of a dihedral D_{a1} onto the
-quotients K2 / Z2 of Gamma'.  It skips those whose kernel rotations move
-every vector, reads each other candidate's fixed-space dimension in every
-irrep off its Goursat data, builds only those with a nonzero one, once per
-context, and decides isotropy exactly, from those integer dimensions and
-containment in the candidate classes kept so far.
+H's orbit.  The enumeration covers only the classes with finite Weyl group
+(Phi_0), the ones the Burnside ring holds.  Its Goursat candidates are the
+graphs of the surjections rho -> R, kappa -> S of a dihedral D_{a1} onto
+the quotients K2 / Z2 of Gamma'.  It skips those whose kernel rotations
+move every vector, reads each other candidate's fixed-space dimension in
+every irrep off its Goursat data, builds only those with a nonzero one,
+once per context, and decides isotropy exactly, from those integer
+dimensions and containment in the candidate classes kept so far.
 
 Subgroups with a full O(2) factor (the only infinite ones we need) are kept
 symbolically and delegate everything to Gamma'.
@@ -38,13 +36,11 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    InfiniteSubgroup,
     InfiniteWeyl,
     NonIntegralTrace,
     NonIntegralWeyl,
@@ -122,20 +118,6 @@ class SubgroupG:
     @property
     def has_reflections(self) -> bool:
         return bool(self.axes)
-
-    def conjugate(self, kind: int, c: Fraction, gidx: int) -> "SubgroupG":
-        """(x, g) h (x, g)^-1 for the O(2) element x = (kind, c), c in turns."""
-        c2 = Fraction(2 * c) % 1
-        L = math.lcm(self.level, c2.denominator)
-        u, s = L // self.level, c2.numerator * (L // c2.denominator)
-        conj = self.gamma.conj_map[gidx]
-        if kind == ROT:
-            elems = ((k, t * u if k == ROT else (t * u + s) % L, conj[x])
-                     for k, t, x in self.elems)
-        else:
-            elems = ((k, (-t * u if k == ROT else s - t * u) % L, conj[x])
-                     for k, t, x in self.elems)
-        return SubgroupG(self.gamma, elems, L)
 
     def std_position(self) -> "SubgroupG":
         """The rotation conjugate whose least reflection axis is 0."""
@@ -303,7 +285,7 @@ class AmbientContext:
             for t in self._types:
                 if t.symbol == symbol:
                     return t
-        raise KeyError(symbol)
+        raise KeyError(f"no orbit type {symbol!r}")
 
     # -- irreps ------------------------------------------------------------------
 
@@ -330,18 +312,6 @@ class Irrep:
         mats = tuple(np.asarray(m, dtype=float) for m in mats)
         chars = tuple(float(m.trace()) for m in mats)
         return cls(j, mats[0].shape[0], mats, chars)
-
-
-# -- element-level access ---------------------------------------------------------
-
-def elements_of(ctx: AmbientContext, t: OrbitType):
-    """Explicit elements of one representative, angles in turns.  Only finite
-    types have element lists."""
-    if not t.is_finite:
-        raise InfiniteSubgroup(f"{t.symbol} contains a full O(2) factor")
-    h = t.rep
-    return [((kind, Fraction(t, h.level)), ctx.gamma.elements[g])
-            for kind, t, g in sorted(h.elems)]
 
 
 # -- conjugation scans over the angle grid ---------------------------------------------
@@ -591,24 +561,6 @@ def coeff_scale(ctx: AmbientContext, t: OrbitType) -> int:
     arithmetic runs in the ambient ring (see BurnsideElement.coeff_ambient).
     """
     return 2 if t.is_finite and t.rep.has_reflections and not t.rep.z1_axes else 1
-
-
-def weyl_order_amalgam(ctx: AmbientContext, t: OrbitType) -> int:
-    """Weyl order in the table presentation (ambient order over the rescale)."""
-    w = ambient_weyl_order(ctx, t)
-    s = coeff_scale(ctx, t)
-    if w % s:
-        raise InfiniteWeyl(f"{t.symbol}: presentation Weyl weight is not integral")
-    return w // s
-
-
-def x0_of(ctx: AmbientContext, t: OrbitType) -> int:
-    w = weyl_order_amalgam(ctx, t)
-    if w == 2:
-        return 1
-    if w == 1:
-        return 2
-    raise InfiniteWeyl(f"{t.symbol} has |W| = {w}; expected 1 or 2 for a maximal type")
 
 
 # -- folding -------------------------------------------------------------------------
@@ -890,33 +842,6 @@ def maximal_types(ctx: AmbientContext, m: int, j: int) -> tuple:
     pool = orbit_types(ctx, m, j)
     return tuple(sorted((t for t in pool if not any(u is not t and leq(ctx, t, u) for u in pool)),
                         key=lambda t: (t.order or 0, t.symbol)))
-
-
-# -- symbol rendering --------------------------------------------------------------
-
-_PRETTY_SUFFIX = {"z": "^z", "d": "^d", "hd": "^d̂", "m": "^-", "p": "^p"}
-
-
-def pretty_symbol(symbol: str) -> str:
-    """Unicode form of an ASCII amalgamated symbol."""
-
-    def deco(name: str) -> str:
-        m = re.fullmatch(r"([A-Z])(\d+)(hd|[zdmp]?)", name)
-        if not m:
-            return name
-        letter, num, suf = m.groups()
-        return f"{letter}_{num}" + (_PRETTY_SUFFIX.get(suf, "") if suf else "")
-
-    m = re.fullmatch(r"\((\w+)\^(\w+) x\^(\w+) (\w+)\)(~\d+)?", symbol)
-    if not m:
-        if symbol == "(G)":
-            return "(G)"
-        m2 = re.fullmatch(r"\(O2 x (\w+)\)", symbol)
-        if m2:
-            return f"(O(2) × {deco(m2.group(1))})"
-        return symbol
-    k1, z1, z2, k2, suffix = m.groups()
-    return f"({deco(k1)}^{{{deco(z1)}}} ×^{{{deco(z2)}}} {deco(k2)})" + (suffix or "")
 
 
 def parse_symbol(ctx: AmbientContext, symbol: str) -> OrbitType:

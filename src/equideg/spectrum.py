@@ -184,12 +184,6 @@ def _polish(m: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.n
     return x
 
 
-def bessel_zero_sq(m: int, n: int) -> float:
-    """Squared n-th positive zero of J_m (an eigenvalue of the disc Laplacian)."""
-    z = bessel_zero(m, n)
-    return z * z
-
-
 class BesselZeroTable:
     """Table of squared Bessel zeros s[m][n] up to a horizon (m_max, n_max)."""
 
@@ -383,13 +377,6 @@ def _required_m(sup_mu: float) -> int:
     return m
 
 
-def eigenvalue_xi(curve: EigenvalueCurve, table: BesselZeroTable, n: int, m: int,
-                  alpha: float) -> float:
-    """xi = 1 - mu_j(alpha) / s_nm, the eigenvalue of the linearized field on
-    the (n, m, j) block."""
-    return 1.0 - curve.value(alpha) / table.value(n, m)
-
-
 @dataclass(frozen=True)
 class SpectrumIndexSet:
     kind: str  # "sigma_minus" | "sigma" | "sigma_k"
@@ -419,46 +406,6 @@ def index_sets(curves: Sequence[EigenvalueCurve], table: BesselZeroTable, alpha:
     return (SpectrumIndexSet("sigma_minus", alpha, tuple(minus)),
             SpectrumIndexSet("sigma", alpha, tuple(sig)),
             SpectrumIndexSet("sigma_k", alpha, tuple(sig_k)))
-
-
-# -- a-priori bound ------------------------------------------------------------------
-
-def a_priori_radius(a_alpha: float, b_alpha: float, nu: float, q: float,
-                    op_norm: float) -> dict:
-    """Radius bound for solutions at one parameter value.
-
-    c and d follow the norm estimate of the sublinear field; R0 solves
-    t - c t^nu - d = 0 past the stationary point and R = c R0^nu + d.
-    """
-    if not (a_alpha > 0 and b_alpha > 0 and 0 < nu < 1 and q > max(1.0, 2 * nu)
-            and op_norm > 0):
-        raise ValueError("need a, b, op_norm > 0, 0 < nu < 1, q > max(1, 2 nu)")
-    c = a_alpha * math.pi ** (0.5 - nu / q) * op_norm
-    d = b_alpha * math.sqrt(math.pi) * op_norm
-    r0 = sublinear_root(c, d, nu)
-    return {"c": c, "d": d, "r0": r0, "radius": c * r0 ** nu + d}
-
-
-def sublinear_root(c: float, d: float, nu: float) -> float:
-    """Root of psi(t) = t - c t^nu - d beyond its stationary point (c, d >= 0)."""
-    if c == 0.0:
-        return d
-    def psi(t: float) -> float:
-        return t - c * t ** nu - d
-    t_star = (c * nu) ** (1.0 / (1.0 - nu))
-    hi = max(t_star, 1.0, d)
-    while psi(hi) <= 0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ConvergenceFailure("sublinear root escaped to infinity")
-    lo = t_star
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if psi(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 # -- kernel eigenmodes ---------------------------------------------------------------

@@ -21,8 +21,8 @@ from equideg.burnside import BurnsideElement
 from equideg.degrees import basic_degree, degree_product, fold_element
 from equideg.groups import CharacterTable, Permutation
 from equideg.model_io import bundled_model, model_kernel_mode, run_report
-from equideg.orbit_types import fixed_dim_irrep, fold, maximal_types, x0_of
-from equideg.spectrum import BesselZeroTable, bessel_zero_sq
+from equideg.orbit_types import fixed_dim_irrep, fold, maximal_types
+from equideg.spectrum import BesselZeroTable, bessel_zero
 
 from s5_fixtures import (
     DEGREES,
@@ -34,6 +34,7 @@ from s5_fixtures import (
     bessel_entries,
 )
 from test_groups import isotypic_decompose
+from weyl import x0_of
 
 
 def _ok(n, text):
@@ -196,7 +197,7 @@ def test_criterion_10_property_suites(model, prob):
 
     # Watson bound through m = 20
     for m in range(21):
-        assert bessel_zero_sq(m, 1) > m * (m + 2)
+        assert bessel_zero(m, 1) ** 2 > m * (m + 2)
 
     # kernel-mode symmetries on a 200 x 200 polar grid
     km = model_kernel_mode(model, (1, 3, 2), "(D6^D3 x^D4 D4p)")

@@ -108,7 +108,8 @@ def test_product_order_is_well_founded(ctx):
 def test_pairwise_degree_coefficient_parity_law(ctx):
     # for (H) maximal in both blocks, the coefficient of its m-fold in
     # deg(m,i) * deg(m,l) vanishes iff the fixed dimensions share parity
-    from equideg.orbit_types import fixed_dim_irrep, fold, x0_of
+    from equideg.orbit_types import fixed_dim_irrep, fold
+    from weyl import x0_of
     for i in (0, 2, 3):
         for l in (0, 2, 3):
             shared = [h for h in maximal_types(ctx, 1, i)

@@ -282,13 +282,18 @@ def test_generator_images_breaking_relations_are_exit_2(capsys):
     (("invariant", "--id", "9,9,9"), "--id"),
     (("invariant", "--id", "1,3"), "--id"),
     (("kernel-grid", "--id", "1,x,2"), "--id"),
-    (("global", "--orbit-type", "(D7^D7 x^S4 S4p)"), "--orbit-type"),
+    (("global", "--orbit-type", "(D7^D7 x^S4 S4p)"),
+     "--orbit-type: no orbit type '(D7^D7 x^S4 S4p)'\n"),
+    # (G) and this type are known but not maximal: no verdict is given for them
+    (("global", "--orbit-type", "(G)"), "--orbit-type: (G) is not a maximal"),
+    (("global", "--orbit-type", "(D6^D3 x^V4 V4p)"), "--orbit-type"),
     (("kernel-grid", "--id", "1,3,2", "--orbit-type", "bogus"), "--orbit-type"),
     (("basic-degree", "--m", "1", "--j", "7"), "--j"),
     (("basic-degree", "--m", "-1", "--j", "0"), "--m"),
     (("kernel-grid", "--id", "1,3,2", "--resolution", "-1"), "--resolution"),
     (("bessel", "--m-max", "999"), "--m-max"),
 ], ids=["id_unknown", "id_two_numbers", "id_not_integer", "orbit_type_unknown",
+        "orbit_type_unit", "orbit_type_not_maximal",
         "grid_orbit_type_unknown", "j_unknown", "m_negative", "resolution_negative",
         "m_max_too_large"])
 def test_bad_flag_value_is_a_config_error_naming_it(capsys, args, flag):

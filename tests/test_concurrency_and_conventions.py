@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 from pathlib import Path
 
@@ -46,3 +47,36 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     assert meta["project"]["version"] == equideg.__version__
+
+
+def _used_names(tree) -> set[str]:
+    """Names a module reads, quoted annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        notes = [getattr(node, "returns", None), getattr(node, "annotation", None)]
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used |= _used_names(ast.parse(note.value, mode="eval"))
+    return used
+
+
+def test_no_unused_imports_in_the_package():
+    # __init__ imports only to re-export
+    src = Path(equideg.__file__).resolve().parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused

@@ -2,9 +2,10 @@ import pytest
 
 from equideg.burnside import BurnsideElement
 from equideg.degrees import basic_degree, basic_degree_direct, degree_product, fold_element
-from equideg.orbit_types import fixed_dim_irrep, fold, maximal_types, x0_of
+from equideg.orbit_types import fixed_dim_irrep, fold, maximal_types
 
 from s5_fixtures import DEGREES
+from weyl import x0_of
 
 
 def as_dict(element):

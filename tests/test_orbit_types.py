@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from equideg.errors import InfiniteSubgroup, InfiniteWeyl, NonIntegralWeyl
+from equideg.errors import InfiniteWeyl, NonIntegralWeyl
 from equideg.model_io import load_model
 from equideg.orbit_types import (
     REF,
@@ -15,7 +15,6 @@ from equideg.orbit_types import (
     _build_candidate,
     _candidate_subgroups,
     ambient_weyl_order,
-    elements_of,
     fixed_dim_irrep,
     fold,
     fold_subgroup,
@@ -25,14 +24,12 @@ from equideg.orbit_types import (
     orbit_types,
     orbit_types_direct,
     parse_symbol,
-    pretty_symbol,
-    weyl_order_amalgam,
-    x0_of,
 )
 
 from s5_fixtures import MAXIMAL_1, MAXIMAL_3
 from test_generality import TRIANGLE
 from test_ring import ring
+from weyl import presentation_weyl_order, x0_of
 
 
 def _angles(h):
@@ -123,13 +120,13 @@ def test_maximal_fixed_dims_are_odd(ctx):
 
 def test_weyl_orders_of_maximal_types(ctx):
     for t in all_maximal(ctx):
-        w = weyl_order_amalgam(ctx, t)
+        w = presentation_weyl_order(ctx, t)
         assert w in (1, 2)
         assert x0_of(ctx, t) * w == 2
 
 
 def test_unit_weyl(ctx):
-    assert weyl_order_amalgam(ctx, ctx.unit) == 1
+    assert presentation_weyl_order(ctx, ctx.unit) == 1
 
 
 def test_leq_basics(ctx):
@@ -171,27 +168,10 @@ def test_symbols_unique_and_parse_roundtrip(ctx):
                 assert parse_symbol(ctx, t.symbol).key == t.key
 
 
-def test_pretty_symbol():
-    assert pretty_symbol("(D18^Z3 x^V4 S4p)") == "(D_18^{Z_3} ×^{V_4} S_4^p)"
-    assert pretty_symbol("(D2^D1 x^D4hd D4p)") == "(D_2^{D_1} ×^{D_4^d̂} D_4^p)"
-    assert pretty_symbol("(G)") == "(G)"
-
-
 def test_elements_of_product_case(ctx, model):
     # trivial glue: D_1 x K has size 2|K|
     s4p = parse_symbol(ctx, "(D2^D1 x^S4 S4p)")
-    els = elements_of(ctx, s4p)
-    assert len(els) == s4p.order == 96
-    # conjugating by the rotation through c turns shifts each reflection angle by 2c
-    shifted = s4p.rep.conjugate(ROT, Fraction(1, 6), 0)
-    axes = sorted(a for (kind, a), _ in els if kind != ROT)
-    axes_shifted = sorted(Fraction(t, shifted.level) for kind, t, _ in shifted.elems if kind != ROT)
-    assert axes_shifted == sorted((a + Fraction(1, 3)) % 1 for a in axes)
-
-
-def test_elements_of_rejects_o2_kinds(ctx):
-    with pytest.raises(InfiniteSubgroup):
-        elements_of(ctx, ctx.unit)
+    assert len(_angles(s4p.rep)) == s4p.order == 96
 
 
 def test_rotation_paired_antipodal_subgroup(ctx, model):
@@ -204,9 +184,9 @@ def test_rotation_paired_antipodal_subgroup(ctx, model):
     assert _angles(h) == {(ROT, Fraction(0), 0), (ROT, Fraction(1, 2), central)}
     t = ctx.intern(h)
     assert t.order == 2
-    assert len(elements_of(ctx, t)) == 2
+    assert len(_angles(t.rep)) == 2
     with pytest.raises(InfiniteWeyl):
-        weyl_order_amalgam(ctx, t)
+        ambient_weyl_order(ctx, t)
 
 
 def _o2_matrices(kinds, angles):
@@ -371,8 +351,8 @@ def o2_inv(x):
 
 def test_element_arithmetic_closure(ctx):
     t = parse_symbol(ctx, "(D2^D1 x^D4 D4p)")
-    els = elements_of(ctx, t)
     gamma = ctx.gamma
+    els = [((kind, a), gamma.elements[g]) for kind, a, g in _angles(t.rep)]
     index = {(o2, g.images): None for o2, g in els}
     for o2a, ga in els:
         assert (o2_inv(o2a), gamma.elements[gamma.inv[gamma.index[ga]]].images) in index
@@ -410,8 +390,8 @@ def _fraction_signature(gamma, elems):
 
 
 def test_tick_arithmetic_matches_fractions(ctx):
-    # conjugate, std_position, fold_subgroup and fingerprint on integer ticks
-    # against Fraction arithmetic on the exact angle sets
+    # level reduction, std_position, fold_subgroup and fingerprint on integer
+    # ticks against Fraction arithmetic on the exact angle sets
     gamma = ctx.gamma
     pool = {t.key: t for j in ctx.active_js() for m in (0, 1)
             for t in orbit_types(ctx, m, j) if t.is_finite}
@@ -426,10 +406,12 @@ def test_tick_arithmetic_matches_fractions(ctx):
         # the same angles given over a multiple of the level reduce to h
         assert SubgroupG(gamma, ((k, 6 * x, g) for k, x, g in h.elems), 6 * h.level) == h
         for kind, c, g in conjugators:
-            hc = h.conjugate(kind, c, g)
+            # each conjugate, given in ticks over twice its least level
             want = _conj_angles(gamma, exact, kind, c, g)
+            level = math.lcm(*(a.denominator for _, a, _ in want))
+            hc = SubgroupG(gamma, ((k, int(a * 2 * level), x) for k, a, x in want), 2 * level)
             assert _angles(hc) == want
-            assert hc.level == math.lcm(*(a.denominator for _, a, _ in want))
+            assert hc.level == level
             a0 = min(a for k, a, _ in want if k == REF)
             want_std = _conj_angles(gamma, want, ROT, (-a0 / 2) % 1, 0)
             std = hc.std_position()

@@ -14,7 +14,9 @@ from equideg.burnside import BurnsideElement
 from equideg.cli import main
 from equideg.degrees import basic_degree, basic_degree_direct, degree_product, fold_element
 from equideg.model_io import load_model, run_report
-from equideg.orbit_types import fixed_dim_irrep, fold, maximal_types, x0_of
+from equideg.orbit_types import fixed_dim_irrep, fold, maximal_types
+
+from weyl import x0_of
 
 
 def ring(n):

@@ -16,15 +16,11 @@ from equideg.spectrum import (
     MAX_ORDER,
     BesselZeroTable,
     EigenvalueCurve,
-    a_priori_radius,
     bessel_j,
     bessel_zero,
-    bessel_zero_sq,
     critical_points,
-    eigenvalue_xi,
     index_sets,
     kernel_mode,
-    sublinear_root,
     _required_m,
 )
 
@@ -183,7 +179,7 @@ def test_series_and_recurrence_regimes_agree():
 
 def test_watson_bound_up_to_20():
     for m in range(21):
-        assert bessel_zero_sq(m, 1) > m * (m + 2)
+        assert bessel_zero(m, 1) ** 2 > m * (m + 2)
 
 
 def test_interlacing(table):
@@ -311,16 +307,21 @@ def test_index_sets_rejects_critical_alpha(model_curves, model_table):
 
 
 def test_eigenvalue_xi(model_curves, model_table):
+    # xi = 1 - mu_j(alpha) / s_nm, the eigenvalue of the linearized field on
+    # the (n, m, j) block, vanishes at the critical points
     curve = model_curves[0]
+
+    def xi(n, m, alpha):
+        return 1.0 - curve.value(alpha) / model_table.value(n, m)
+
     cps = critical_points(model_curves, model_table)
     cp = [c for c in cps if c.j == 0][0]
-    assert abs(eigenvalue_xi(curve, model_table, cp.n, cp.m, cp.alpha)) < 1e-10
+    assert abs(xi(cp.n, cp.m, cp.alpha)) < 1e-10
     # mu < s gives positive xi
-    assert eigenvalue_xi(curve, model_table, 3, 0, 0.0) > 0
+    assert xi(3, 0, 0.0) > 0
     # deep negative alpha: xi -> 1 - 32/s_10 < 0
-    assert abs(eigenvalue_xi(curve, model_table, 1, 0, -40.0)
-               - (1 - 32.0 / model_table.value(1, 0))) < 1e-9
-    assert eigenvalue_xi(curve, model_table, 1, 0, -40.0) < 0
+    assert abs(xi(1, 0, -40.0) - (1 - 32.0 / model_table.value(1, 0))) < 1e-9
+    assert xi(1, 0, -40.0) < 0
 
 
 def test_tabulated_curve():
@@ -341,18 +342,6 @@ def test_decreasing_affine_curve(model_table):
     assert all(31.0 < model_table.value(cp.n, cp.m) < 40.0 for cp in cps)
     for cp in cps:
         assert abs(c.value(cp.alpha) - model_table.value(cp.n, cp.m)) < 1e-9 * 40
-
-
-def test_a_priori_radius():
-    # closed-form oracle: psi(t) = t - sqrt(t) has root 1 past the stationary point
-    assert abs(sublinear_root(1.0, 0.0, 0.5) - 1.0) < 1e-12
-    assert sublinear_root(0.0, 3.5, 0.7) == 3.5
-    out = a_priori_radius(1.0, 1.0, 0.5, 2.0, 1.0)
-    assert abs(out["radius"] - (out["c"] * out["r0"] ** 0.5 + out["d"])) < 1e-12
-    # monotone in each of a, b
-    base = a_priori_radius(1.0, 1.0, 0.5, 2.0, 1.0)["radius"]
-    assert a_priori_radius(2.0, 1.0, 0.5, 2.0, 1.0)["radius"] > base
-    assert a_priori_radius(1.0, 2.0, 0.5, 2.0, 1.0)["radius"] > base
 
 
 def test_kernel_mode_boundary_and_radial(model_curves, model_table):
