@@ -64,7 +64,6 @@ from .spectrum import (
     CriticalPoint,
     EigenvalueCurve,
     KernelMode,
-    SpectrumIndexSet,
     bessel_j,
     bessel_zero,
     critical_points,

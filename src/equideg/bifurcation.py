@@ -75,7 +75,7 @@ class BifurcationProblem:
         mode = self.mode if mode is None else mode
         _, sig, sig_k = index_sets(self.curves.values(), self.table, alpha,
                                    self.multiplicities)
-        triples = (sig_k if self.k_fixed else sig).triples
+        triples = sig_k if self.k_fixed else sig
         if mode == "relative":  # drop the permanently negative background blocks
             triples = tuple((n, m, j) for n, m, j in triples
                             if self.table.entries[m][n - 1] > self.curves[j].codomain()[0])

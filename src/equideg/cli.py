@@ -9,7 +9,6 @@ exception is a fault of the program and is not caught.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import bifurcation as bif
@@ -20,6 +19,7 @@ from .model_io import (
     bundled_config,
     critical_point_rows,
     isotypic_rows,
+    kernel_type,
     load_model,
     model_kernel_mode,
     read_config,
@@ -139,8 +139,8 @@ def _dispatch(args) -> int:
     if cmd == "bessel":
         table = _arg("--m-max, --n-max", BesselZeroTable, args.m_max, args.n_max)
         if args.format == "json":
-            _emit(args, json.dumps({"m_max": args.m_max, "n_max": args.n_max,
-                                    "entries": table.entries}, indent=2) + "\n")
+            _emit(args, report_json({"m_max": args.m_max, "n_max": args.n_max,
+                                     "entries": table.entries}))
         else:
             lines = ["m\\n " + " ".join(f"{n:>10d}" for n in range(1, args.n_max + 1))]
             for m in range(args.m_max + 1):
@@ -153,7 +153,7 @@ def _dispatch(args) -> int:
     if cmd == "decompose":
         rows = isotypic_rows(model)
         if args.format == "json":
-            _emit(args, json.dumps(rows, indent=2) + "\n")
+            _emit(args, report_json(rows))
         else:
             _emit(args, "\n".join(
                 f"j={r['j']} {r['label']}: dim {r['irrep_dim']} x{r['multiplicity']}, "
@@ -163,7 +163,7 @@ def _dispatch(args) -> int:
     if cmd == "critical-points":
         rows = critical_point_rows(model)
         if args.format == "json":
-            _emit(args, json.dumps(rows, indent=2) + "\n")
+            _emit(args, report_json(rows))
         else:
             _emit(args, "\n".join(
                 f"(n,m,j)=({r['id'][0]},{r['id'][1]},{r['id'][2]}) alpha={r['alpha']:.9f} "
@@ -176,8 +176,8 @@ def _dispatch(args) -> int:
         _arg("--j", model.ctx.irrep, args.j)
         terms = basic_degree(model.ctx, args.m, args.j).sorted_terms()
         if args.format == "json":
-            _emit(args, json.dumps({"m": args.m, "j": args.j,
-                                    "terms": [[s, c] for s, c in terms]}, indent=2) + "\n")
+            _emit(args, report_json({"m": args.m, "j": args.j,
+                                     "terms": [[s, c] for s, c in terms]}))
         else:
             _emit(args, format_terms(terms) + "\n")
         return 0
@@ -187,9 +187,9 @@ def _dispatch(args) -> int:
         inv = bif.local_invariant(model.problem, cp, mode=args.mode)
         terms = inv.value.sorted_terms()
         if args.format == "json":
-            _emit(args, json.dumps({"id": list(cp.id), "mode": inv.mode,
-                                    "k_fixed": inv.k_fixed,
-                                    "terms": [[s, c] for s, c in terms]}, indent=2) + "\n")
+            _emit(args, report_json({"id": list(cp.id), "mode": inv.mode,
+                                     "k_fixed": inv.k_fixed,
+                                     "terms": [[s, c] for s, c in terms]}))
         else:
             _emit(args, format_terms(terms) + "\n")
         return 0
@@ -200,7 +200,7 @@ def _dispatch(args) -> int:
             raise ConfigError(f"--orbit-type: {h.symbol} is not a maximal orbit type")
         payload = verdict_row(bif.global_verdict(model.problem, h))
         if args.format == "json":
-            _emit(args, json.dumps(payload, indent=2) + "\n")
+            _emit(args, report_json(payload))
         else:
             _emit(args, f"{payload['orbit_type']}: {payload['conclusion']}"
                         f" (s_bar={payload['s_bar']}, members={payload['members']},"
@@ -231,11 +231,11 @@ def _dispatch(args) -> int:
 
     if cmd == "kernel-grid":
         cp = _critical_point(model, args.id)
-        if args.orbit_type is not None:
-            _arg("--orbit-type", parse_symbol, model.ctx, args.orbit_type)
+        t = (None if args.orbit_type is None
+             else _arg("--orbit-type", kernel_type, model, cp, args.orbit_type))
         if args.resolution < 0:
             raise ConfigError(f"--resolution must be >= 0, got {args.resolution}")
-        rows = model_kernel_mode(model, cp.id, args.orbit_type).grid(args.resolution)
+        rows = model_kernel_mode(model, cp.id, t).grid(args.resolution)
         k = model.action.dimension
         header = "r,theta," + ",".join(f"u{i+1}" for i in range(k))
         body = "\n".join(",".join(repr(v) for v in row) for row in rows)

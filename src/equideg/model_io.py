@@ -15,14 +15,12 @@ from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional, Sequence
 
 import numpy as np
 
 from . import bifurcation as bif
 from .burnside import BurnsideElement
 from .errors import (
-    ComputationError,
     CrossCheckMismatch,
     EquivarianceViolation,
     NonMonotoneCurve,
@@ -32,9 +30,10 @@ from .errors import (
 )
 from .groups import CharacterTable, FiniteGroup, OrthogonalAction, Permutation, group_from_generators
 from .naming import s4z2_class_names
-from .orbit_types import AmbientContext, fixed_space, fold, maximal_types, parse_symbol
+from .orbit_types import (AmbientContext, OrbitType, fixed_dim_irrep, fixed_space, fold,
+                          maximal_types, parse_symbol)
 from .reps import (IsotypicComponent, antipodal_product, generic_invariant_matrix,
-                   irreps_with_antipodal, isotypic_components)
+                   irreps_with_antipodal, isotypic_components, single_copy_basis)
 from .spectrum import (
     MAX_INDEX,
     MAX_ORDER,
@@ -334,41 +333,35 @@ def _components_from_matrices(gamma: FiniteGroup, action: OrthogonalAction) -> l
 
 # -- kernel modes ---------------------------------------------------------------------
 
-def model_kernel_mode(model: Model, cid, orbit_type_symbol: Optional[str] = None,
-                      coefficients: Optional[Sequence[float]] = None) -> KernelMode:
-    """Kernel eigenmode at a critical point.
+def kernel_type(model: Model, cp: CriticalPoint, orbit_type) -> OrbitType:
+    """The type whose fixed line at cp a kernel mode spans: orbit_type (a symbol
+    or a type), folded by m if it is a maximal frequency-1 type and m >= 1.  An
+    unknown symbol is a KeyError, a fixed space in W_m (x) V_j^- other than a
+    line a ValueError."""
+    ctx = model.ctx
+    t = parse_symbol(ctx, orbit_type) if isinstance(orbit_type, str) else orbit_type
+    if cp.m and t in maximal_types(ctx, 1, cp.j):
+        t = fold(ctx, t, cp.m)
+    dim = fixed_dim_irrep(ctx, t, cp.m, cp.j)
+    if dim != 1:
+        raise ValueError(f"{t.symbol} fixes a {dim}-dimensional space at {cp.id}, not a line")
+    return t
 
-    Without an orbit type the first coupling eigenvector of the crossing block
-    is used for the cosine part; with one, the mode spans the fixed space of
-    the type in the crossing representation (its dimension must be 1 modulo the
-    choice of scale, which is the tangent-mode situation).
-    """
+
+def model_kernel_mode(model: Model, cid, orbit_type=None) -> KernelMode:
+    """Kernel eigenmode at a critical point, in the copy of V_j that the irrep
+    matrices act on (reps.single_copy_basis).  Without an orbit type its cosine
+    part is the copy's first basis vector; with one it spans the fixed line of
+    kernel_type(model, cp, orbit_type), with its largest entry positive."""
     cp = model.critical_by_id(cid)
-    comp = model.component(cp.j)
-    q = comp.basis  # V-coordinates of the block
-    d = comp.irrep_dim
-    if orbit_type_symbol is None:
-        if coefficients is None:
-            coefficients = [1.0] + [0.0] * (d - 1)
-        coefficients = np.asarray(coefficients, dtype=float)
-        a_vec = q[:, :d] @ coefficients
-        b_vec = np.zeros(model.action.dimension)
-        return kernel_mode(cp, model.bessel, a_vec, b_vec)
-    t = parse_symbol(model.ctx, orbit_type_symbol)
-    if not t.is_finite:
-        raise ComputationError(f"{orbit_type_symbol} fixes no nonzero mode at positive frequency")
-    # accept either the frequency-1 type or its fold at the crossing frequency
-    u = next((fold(model.ctx, h, cp.m) for h in maximal_types(model.ctx, 1, cp.j)
-              if t.key in (h.key, fold(model.ctx, h, cp.m).key)), t)
-    W = fixed_space(model.ctx, cp.m, cp.j, u.rep)
-    if W.shape[1] == 0:
-        raise ComputationError(f"{orbit_type_symbol} fixes no kernel direction at {cid}")
-    vec = W[:, 0]
-    imax = int(np.argmax(np.abs(vec)))
-    if vec[imax] < 0:
-        vec = -vec
-    a_irr, b_irr = vec[:d], vec[d:]
-    return kernel_mode(cp, model.bessel, q[:, :d] @ a_irr, q[:, :d] @ b_irr)
+    q = single_copy_basis(model.action, model.component(cp.j))
+    d = q.shape[1]
+    if orbit_type is None:
+        return kernel_mode(cp, model.bessel, q[:, 0], np.zeros(model.action.dimension))
+    vec = fixed_space(model.ctx, kernel_type(model, cp, orbit_type), cp.m, cp.j)[:, 0]
+    vec = vec * np.sign(vec[np.argmax(np.abs(vec))])
+    a_irr, b_irr = vec[:d], (vec[d:] if cp.m else np.zeros(d))
+    return kernel_mode(cp, model.bessel, q @ a_irr, q @ b_irr)
 
 
 # -- report -----------------------------------------------------------------------------

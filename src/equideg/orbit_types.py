@@ -634,13 +634,17 @@ def rep_matrix(ctx: AmbientContext, m: int, j: int, elem: tuple, level: int) -> 
     return np.kron(R, B)
 
 
-def fixed_space(ctx: AmbientContext, m: int, j: int, h: SubgroupG) -> np.ndarray:
-    dim = ctx.irrep(j).dim * (1 if m == 0 else 2)
-    P = np.zeros((dim, dim))
-    for elem in h.elems:
-        P += rep_matrix(ctx, m, j, elem, h.level)
-    P /= h.order
-    vals, vecs = np.linalg.eigh(P)
+def fixed_space(ctx: AmbientContext, t: OrbitType, m: int, j: int) -> np.ndarray:
+    """Orthonormal basis of (W_m (x) V_j^-)^H, H in t, with fixed_dim_irrep(ctx,
+    t, m, j) columns: the eigenvalue-1 space of the average over H."""
+    if t.kind == "o2":
+        if m:  # the rotations of O(2) average W_m to 0
+            return np.zeros((2 * ctx.irrep(j).dim, 0))
+        k2 = ctx.gamma.subgroup_classes()[t.k2_class].representative
+        mats = [ctx.irrep(j).mats[x] for x in ctx.gamma.mask_elements(k2)]
+    else:
+        mats = [rep_matrix(ctx, m, j, elem, t.rep.level) for elem in t.rep.elems]
+    vals, vecs = np.linalg.eigh(sum(mats) / len(mats))
     return vecs[:, vals > 0.5]
 
 

@@ -82,7 +82,7 @@ def irreps_with_antipodal(gamma: FiniteGroup, gamma_prime: FiniteGroup,
     split = split_gamma_prime(gamma, gamma_prime)
     out = {}
     for comp in components:
-        q = _single_copy_basis(action, comp)
+        q = single_copy_basis(action, comp)
         mats = []
         for gi, sign in split:
             mats.append(sign * (q.T @ action.matrices[gi] @ q))
@@ -93,7 +93,8 @@ def irreps_with_antipodal(gamma: FiniteGroup, gamma_prime: FiniteGroup,
     return out
 
 
-def _single_copy_basis(action: OrthogonalAction, comp: IsotypicComponent) -> np.ndarray:
+def single_copy_basis(action: OrthogonalAction, comp: IsotypicComponent) -> np.ndarray:
+    """V-coordinates, shape (k, irrep_dim), of the copy that the irrep matrices act on."""
     if comp.multiplicity == 1:
         return comp.basis
     # eigenspaces of a generic invariant matrix inside the block split the copies

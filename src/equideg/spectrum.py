@@ -377,16 +377,9 @@ def _required_m(sup_mu: float) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class SpectrumIndexSet:
-    kind: str  # "sigma_minus" | "sigma" | "sigma_k"
-    alpha: float
-    triples: tuple[tuple[int, int, int], ...]
-
-
 def index_sets(curves: Sequence[EigenvalueCurve], table: BesselZeroTable, alpha: float,
-               multiplicities: dict[int, int]) -> tuple[SpectrumIndexSet, SpectrumIndexSet, SpectrumIndexSet]:
-    """(Sigma_minus, Sigma, Sigma^K) at a regular alpha."""
+               multiplicities: dict[int, int]) -> tuple[tuple, tuple, tuple]:
+    """(Sigma_minus, Sigma, Sigma^K) at a regular alpha, as sorted (n, m, j) tuples."""
     minus = []
     for c in curves:
         mu = c.value(alpha)
@@ -403,9 +396,7 @@ def index_sets(curves: Sequence[EigenvalueCurve], table: BesselZeroTable, alpha:
     minus.sort()
     sig = [t for t in minus if multiplicities.get(t[2], 1) % 2 == 1]
     sig_k = [t for t in sig if t[1] % 2 == 1]
-    return (SpectrumIndexSet("sigma_minus", alpha, tuple(minus)),
-            SpectrumIndexSet("sigma", alpha, tuple(sig)),
-            SpectrumIndexSet("sigma_k", alpha, tuple(sig_k)))
+    return tuple(minus), tuple(sig), tuple(sig_k)
 
 
 # -- kernel eigenmodes ---------------------------------------------------------------

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equideg import cli
+from equideg import cli, model_io
 from equideg.burnside import format_terms
 from equideg.cli import main
 from equideg.model_io import bundled_config, load_model
+from equideg.orbit_types import fixed_dim_irrep, fold, maximal_types
 
 from test_generality import TRIANGLE
 from test_ring import ring
@@ -288,13 +289,21 @@ def test_generator_images_breaking_relations_are_exit_2(capsys):
     (("global", "--orbit-type", "(G)"), "--orbit-type: (G) is not a maximal"),
     (("global", "--orbit-type", "(D6^D3 x^V4 V4p)"), "--orbit-type"),
     (("kernel-grid", "--id", "1,3,2", "--orbit-type", "bogus"), "--orbit-type"),
+    # kernel-grid takes a type only where it fixes a line
+    (("kernel-grid", "--id", "1,3,2", "--orbit-type", "(G)"),
+     "--orbit-type: (G) fixes a 0-dimensional space at (1, 3, 2), not a line"),
+    (("kernel-grid", "--id", "1,3,2", "--orbit-type", "(D6^D3 x^V4 V4p)"),
+     "--orbit-type: (D6^D3 x^V4 V4p) fixes a 2-dimensional space"),
+    (("kernel-grid", "--id", "1,3,2", "--orbit-type", "(D2^D1 x^S4 S4p)"),
+     "--orbit-type: (D2^D1 x^S4 S4p) fixes a 0-dimensional space"),
     (("basic-degree", "--m", "1", "--j", "7"), "--j"),
     (("basic-degree", "--m", "-1", "--j", "0"), "--m"),
     (("kernel-grid", "--id", "1,3,2", "--resolution", "-1"), "--resolution"),
     (("bessel", "--m-max", "999"), "--m-max"),
 ], ids=["id_unknown", "id_two_numbers", "id_not_integer", "orbit_type_unknown",
         "orbit_type_unit", "orbit_type_not_maximal",
-        "grid_orbit_type_unknown", "j_unknown", "m_negative", "resolution_negative",
+        "grid_orbit_type_unknown", "grid_orbit_type_unit", "grid_orbit_type_plane",
+        "grid_orbit_type_no_line", "j_unknown", "m_negative", "resolution_negative",
         "m_max_too_large"])
 def test_bad_flag_value_is_a_config_error_naming_it(capsys, args, flag):
     code, _, err = run_cli(capsys, "--config", "bundled:six_membranes", *args)
@@ -305,13 +314,78 @@ def test_bad_flag_value_is_a_config_error_naming_it(capsys, args, flag):
 def test_fault_inside_a_command_is_not_a_config_error(capsys, monkeypatch):
     # a ValueError from inside a computation is a fault of the program, not bad
     # input: it is not reported as a config error with exit 2
-    def broken(model):
+    def broken(*args):
         raise ValueError("fault")
 
-    monkeypatch.setattr(cli, "run_report", broken)
-    with pytest.raises(ValueError, match="fault"):
-        main(["--config", "bundled:six_membranes", "report"])
-    assert "config error" not in capsys.readouterr().err
+    for module, name, args in [
+            (cli, "run_report", ["report"]),
+            (model_io, "fixed_space",
+             ["kernel-grid", "--id", "1,3,2", "--orbit-type", "(D6^D3 x^D4 D4p)"])]:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, broken)
+            with pytest.raises(ValueError, match="fault"):
+                main(["--config", "bundled:six_membranes", *args])
+        assert "config error" not in capsys.readouterr().err, name
+
+
+def test_kernel_grid_exits_0_exactly_on_a_fixed_line(capsys, monkeypatch, model):
+    # every crossing x (no type, each maximal type, each one's fold there):
+    # a grid where the resolved type fixes a line, a config error naming
+    # --orbit-type everywhere else, and never exit 3 or a traceback
+    monkeypatch.setattr(cli, "load_model", lambda cfg: model)
+    ctx = model.ctx
+    pool = model.problem.maximal_pool()
+    codes = []
+    for cp in model.critical:
+        cid = ",".join(map(str, cp.id))
+        code, out, _ = run_cli(capsys, "--config", "bundled:six_membranes",
+                               "kernel-grid", "--id", cid, "--resolution", "2")
+        assert code == 0 and out.startswith("r,theta,u1"), cid
+        types = {t.key: t for h in pool for t in (h, fold(ctx, h, cp.m))}
+        for t in types.values():
+            u = fold(ctx, t, cp.m) if t in maximal_types(ctx, 1, cp.j) else t
+            code, out, err = run_cli(capsys, "--config", "bundled:six_membranes", "kernel-grid",
+                                     "--id", cid, "--orbit-type", t.symbol, "--resolution", "2")
+            if fixed_dim_irrep(ctx, u, cp.m, cp.j) == 1:
+                assert code == 0 and out.startswith("r,theta,u1"), (cid, t.symbol)
+            else:
+                assert code == 2 and err.startswith("config error: --orbit-type"), (cid, t.symbol)
+            codes.append(code)
+    assert codes.count(0) and codes.count(2)
+
+
+# Gamma = S2 on two coupled membranes: both crossings have m = 0
+TWO_MEMBRANES = copy.deepcopy(TRIANGLE)
+TWO_MEMBRANES.update(
+    name="two-membranes",
+    group={"degree": 2, "gamma_generators": ["(1 2)"], "antipodal": True},
+    action={"type": "permutation", "generator_images": [[1, 0]]},
+    horizon={"m_max": 4, "n_max": 4})
+TWO_MEMBRANES["linearization"].update(
+    a=3.0, coupling_matrix={"template": "adjacency", "c": 5.0, "d": 1.0,
+                            "adjacency": [[0, 1], [1, 0]]})
+
+
+def test_kernel_grid_at_m_0_spans_the_fixed_line_of_o2_x_k(capsys):
+    cfg = json.dumps(TWO_MEMBRANES)
+    model = load_model(cfg)
+    assert [cp.id for cp in model.critical] == [(1, 0, 1), (1, 0, 0)]
+    code, out, _ = run_cli(capsys, "--config", cfg, "kernel-grid", "--id", "1,0,1",
+                           "--orbit-type", "(O2 x U2_1)", "--resolution", "5")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 25
+    # the sine part is 0, so at each radius the values do not vary in theta
+    by_r = {}
+    for r, _, *u in rows:
+        by_r.setdefault(r, set()).add(tuple(u))
+    assert all(len(us) == 1 for us in by_r.values())
+    assert any(float(x) != 0.0 for x in rows[0][2:])
+    # a frequency-1 type is not folded by m = 0 and fixes nothing here
+    h = maximal_types(model.ctx, 1, 1)[0]
+    code, _, err = run_cli(capsys, "--config", cfg, "kernel-grid", "--id", "1,0,1",
+                           "--orbit-type", h.symbol)
+    assert code == 2 and err.startswith("config error: --orbit-type"), err
 
 
 def _field_paths(cfg, prefix=()):

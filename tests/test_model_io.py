@@ -1,6 +1,7 @@
 import copy
 import enum
 import json
+import math
 import re
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from equideg.model_io import (
     report_json,
     run_report,
 )
+from equideg.orbit_types import ROT, fixed_dim_irrep, fold, maximal_types
+from equideg.reps import split_gamma_prime
 from equideg.spectrum import sigmoid
 
 from test_generality import TRIANGLE
@@ -233,6 +236,63 @@ def test_kernel_mode_default_vector(model):
     # proportional to the constant vector
     a = km.a_vec / np.linalg.norm(km.a_vec)
     assert np.abs(np.abs(a) - 1 / np.sqrt(6)).max() < 1e-9
+
+
+# two identical uncoupled triangle layers: both S3 blocks have multiplicity 2
+_TRIANGLE_ADJ = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+TWO_TRIANGLES = {
+    "name": "two-triangles",
+    "group": {"degree": 3, "gamma_generators": ["(1 2 3)", "(1 2)"], "antipodal": True},
+    "action": {"type": "permutation",
+               "generator_images": [[1, 2, 0, 4, 5, 3], [1, 0, 2, 4, 3, 5]]},
+    "linearization": {
+        "a": 12.0,
+        "coupling_matrix": {
+            "template": "adjacency",
+            "c": 22.0 / 3.0,
+            "d": -5.0 / 3.0,
+            "adjacency": [row + [0, 0, 0] for row in _TRIANGLE_ADJ]
+                         + [[0, 0, 0] + row for row in _TRIANGLE_ADJ],
+        },
+        "zeta": "sigmoid",
+    },
+    "horizon": {"m_max": 8, "n_max": 8},
+    "analysis": {"mode": "relative", "k_fixed": True, "alpha_bracket": 1.0},
+}
+
+
+def _symmetry_residual(model, km, t):
+    """max |M x - x| / max |x| over the elements of t's representative, with
+    x = [a_vec; b_vec] and M the element's matrix on W_m (x) V in V-coordinates."""
+    x = np.concatenate([km.a_vec, km.b_vec])
+    split = split_gamma_prime(model.gamma, model.gamma_prime)
+    worst = 0.0
+    for kind, tick, g in t.rep.elems:
+        gi, sign = split[g]
+        phi = 2.0 * math.pi * km.cp.m * tick / t.rep.level
+        c, s = math.cos(phi), math.sin(phi)
+        R = np.array([[c, -s], [s, c]] if kind == ROT else [[c, s], [s, -c]])
+        worst = max(worst, np.abs(np.kron(R, sign * model.action.matrices[gi]) @ x - x).max())
+    return worst / np.abs(x).max()
+
+
+@pytest.mark.parametrize("which", ["six", "two_triangles"])
+def test_kernel_mode_has_the_symmetry_it_names(model, which):
+    if which == "two_triangles":
+        model = load_model(TWO_TRIANGLES)
+        assert {c.multiplicity for c in model.components} == {2}
+    checked = 0
+    for cp in model.critical:
+        if cp.m == 0:
+            continue
+        for h in maximal_types(model.ctx, 1, cp.j):
+            u = fold(model.ctx, h, cp.m)
+            if fixed_dim_irrep(model.ctx, u, cp.m, cp.j) != 1:
+                continue
+            km = model_kernel_mode(model, cp.id, h.symbol)
+            assert _symmetry_residual(model, km, u) <= 1e-12, (cp.id, h.symbol)
+            checked += 1
+    assert checked
 
 
 def test_config_echo_roundtrip():

@@ -287,17 +287,17 @@ def test_index_sets(model_curves, model_table):
     cps = critical_points(model_curves, model_table)
     alpha = cps[0].alpha - 0.5
     sm, sg, sk = index_sets(model_curves, model_table, alpha, {0: 1, 2: 1, 3: 1})
-    assert sg.triples == sm.triples  # all multiplicities odd
+    assert sg == sm  # all multiplicities odd
     background = {(1, 0, j) for j in (0, 2, 3)} | {(2, 0, j) for j in (0, 2, 3)} \
         | {(1, 1, j) for j in (0, 2, 3)} | {(1, 2, j) for j in (0, 2, 3)}
-    assert set(sm.triples) == background
-    assert set(sk.triples) == {(1, 1, 0), (1, 1, 2), (1, 1, 3)}
+    assert set(sm) == background
+    assert set(sk) == {(1, 1, 0), (1, 1, 2), (1, 1, 3)}
     # (1,0,j) is permanently negative for every j
     for j in (0, 2, 3):
-        assert (1, 0, j) in sm.triples
+        assert (1, 0, j) in sm
     # even multiplicity filters a block out of Sigma
     _, sg2, _ = index_sets(model_curves, model_table, alpha, {0: 1, 2: 2, 3: 1})
-    assert all(t[2] != 2 for t in sg2.triples)
+    assert all(t[2] != 2 for t in sg2)
 
 
 def test_index_sets_rejects_critical_alpha(model_curves, model_table):
